@@ -16,7 +16,10 @@ can meaningfully encounter —
 — then runs a small spec batch and asserts the reliability invariants:
 every spec completes, the ``estimates_dict()`` payloads are byte-equal
 to a fault-free run, and the queue ends with exactly one terminal
-record per job.  Faults cost retries, never correctness.
+record per job.  A last leg submits the same specs to the HTTP job
+server (in process) with one transient fault at its ``server.job``
+seam: the job is retried, and every result is still byte-equal.  Faults
+cost retries, never correctness.
 
 Run:  python examples/chaos_smoke.py
 """
@@ -104,6 +107,34 @@ def run_backend(backend: str, tmp: str) -> list[bytes]:
             for o in outcomes]
 
 
+def run_server(tmp: str) -> list[bytes]:
+    """The specs as server jobs, the first execution hit by a fault."""
+    from repro.server import create_app
+    from repro.server.client import ReproClient
+
+    plan = FaultPlan(rules=[FaultRule(site="server.job", kind="raise",
+                                      times=1)],
+                     seed=23, state_dir=os.path.join(tmp, "fuses-server"))
+    os.environ["REPRO_FAULT_PLAN"] = plan.to_json()
+    # No result cache: every job must execute to meet the fault.
+    app = create_app(workers=1, use_cache=False)
+    try:
+        client = ReproClient(app=app)
+        ids = [client.submit_run(spec)["id"] for spec in build_specs()]
+        rows = []
+        for job_id in ids:
+            client.wait(job_id, timeout=300.0)
+            result = client.run_result(job_id)["result"]
+            rows.append(json.dumps(result, sort_keys=True).encode())
+        retries = sum(app.queue.work_queue.result(job_id)[1]["job"]
+                      .get("attempts", 0) for job_id in ids)
+    finally:
+        os.environ.pop("REPRO_FAULT_PLAN", None)
+        app.close()
+    assert retries == 1, f"server: expected one retried job, saw {retries}"
+    return rows
+
+
 def check_queue_invariants() -> None:
     from repro.backends import FileWorkQueue
 
@@ -137,6 +168,10 @@ def main() -> int:
         check_queue_invariants()
         print("queue invariants hold: one terminal record per job, "
               "nothing lost or in flight")
+        rows = run_server(tmp)
+        assert rows == golden, "server diverged from fault-free run"
+        print(f"  {'server':<10} retried a server.job fault, "
+              f"bit-identical ({len(rows)} results)")
     return 0
 
 

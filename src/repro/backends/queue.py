@@ -42,6 +42,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -70,9 +71,9 @@ def default_queue_dir() -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Atomic JSON write (tmp + fsync + rename), per-writer tmp name."""
+    """Atomic JSON write (tmp + fsync + rename), per-thread tmp name."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
     with open(tmp, "w") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.flush()
@@ -115,7 +116,17 @@ class FileWorkQueue:
         return f"{safe}--{spec.key()}--v{CACHE_VERSION}"
 
     def submit(self, spec, use_cache: bool = True) -> str:
-        """Enqueue one spec; returns its job name (idempotent per spec).
+        """Enqueue one spec; returns its job name (idempotent per spec)."""
+        name = self.job_name(spec)
+        self.enqueue(name, {
+            "spec": spec.to_dict(),
+            "use_cache": bool(use_cache),
+            "attempts": 0,
+        })
+        return name
+
+    def enqueue(self, name: str, payload: dict) -> None:
+        """Make ``name`` pending with ``payload``.
 
         Stale terminal records of the same name are cleared first: the
         executor only submits cache *misses*, so a leftover ``done/``
@@ -124,27 +135,47 @@ class FileWorkQueue:
         in-flight execution will produce the result this submission
         wants.
         """
-        self.ensure_dirs()
-        name = self.job_name(spec)
         for state in ("done", "failed"):
             self._path(state, name).unlink(missing_ok=True)
-        if (self._path("pending", name).exists()
-                or self._path("claimed", name).exists()):
-            return name
-        _write_json(self._path("pending", name), {
-            "spec": spec.to_dict(),
-            "use_cache": bool(use_cache),
-            "attempts": 0,
-        })
-        return name
+        if self.exists("pending", name) or self.exists("claimed", name):
+            return
+        self.put("pending", name, payload)
 
-    def result(self, name: str) -> tuple[str, dict] | None:
-        """The terminal record of a job: ("done"|"failed", payload)."""
-        for state in ("done", "failed"):
+    def exists(self, state: str, name: str) -> bool:
+        return self._path(state, name).exists()
+
+    def put(self, state: str, name: str, payload: dict) -> None:
+        """Atomically (re)write one job record in ``state``."""
+        _write_json(self._path(state, name), payload)
+
+    def lookup(self, name: str,
+               states=JOB_STATES) -> tuple[str, dict] | None:
+        """The first of ``states`` holding a readable record of the job.
+
+        Probed in lifecycle order, so a job moving forward mid-lookup is
+        found in its next state; the first state is probed again last,
+        for a requeue (claimed → pending, the one backward move).
+        """
+        for state in (*states, states[0]):
             payload = _read_json(self._path(state, name))
             if payload is not None:
                 return state, payload
         return None
+
+    def result(self, name: str) -> tuple[str, dict] | None:
+        """The terminal record of a job: ("done"|"failed", payload)."""
+        return self.lookup(name, ("done", "failed"))
+
+    def records(self, states=JOB_STATES):
+        """Yield ``(name, state, payload)`` for every readable record."""
+        for state in states:
+            directory = self._dir(state)
+            if not directory.is_dir():
+                continue
+            for path in sorted(directory.glob("*.json")):
+                payload = _read_json(path)
+                if payload is not None:
+                    yield path.stem, state, payload
 
     # ------------------------------------------------------------------
     # Worker side
@@ -188,18 +219,25 @@ class FileWorkQueue:
         except OSError:
             pass  # completed or requeued under us; nothing to extend
 
-    def complete(self, name: str, result: dict, worker: dict | None) -> None:
-        _write_json(self._path("done", name),
-                    {"result": result, "worker": worker or {}})
+    def complete(self, name: str, result: dict, worker: dict | None,
+                 job: dict | None = None) -> dict:
+        """Write the ``done/`` envelope (superseding any failure)."""
+        envelope = {"result": result, "worker": worker or {}, "job": job,
+                    "finished_at": time.time()}
+        _write_json(self._path("done", name), envelope)
         self._path("claimed", name).unlink(missing_ok=True)
+        self._path("failed", name).unlink(missing_ok=True)
+        return envelope
 
     def fail(self, name: str, error: str, worker: dict | None,
              attempts: int = 1, error_type: str = "Exception",
-             transient: bool = False) -> None:
+             transient: bool = False, job: dict | None = None,
+             failures: list | None = None) -> None:
         _write_json(self._path("failed", name),
                     {"error": error, "worker": worker or {},
                      "attempts": attempts, "error_type": error_type,
-                     "transient": transient})
+                     "transient": transient, "job": job,
+                     "failures": failures, "finished_at": time.time()})
         self._path("claimed", name).unlink(missing_ok=True)
 
     def requeue(self, name: str, payload: dict) -> None:
@@ -243,16 +281,14 @@ class FileWorkQueue:
                           worker=None, attempts=payload["attempts"],
                           error_type="LeaseExpired", transient=True)
                 continue
-            _write_json(self._path("pending", name), payload)
-            path.unlink(missing_ok=True)
+            self.requeue(name, payload)
             requeued.append(name)
         return requeued
 
-    def counts(self) -> dict[str, int]:
+    def counts(self, states=JOB_STATES) -> dict[str, int]:
         """Jobs per state (introspection / CLI)."""
         return {state: len(list(self._dir(state).glob("*.json")))
-                if self._dir(state).is_dir() else 0
-                for state in JOB_STATES}
+                for state in states}
 
     def gc(self, max_age_days: float | None = None,
            remove_all: bool = False, dry_run: bool = False) -> list[Path]:

@@ -24,12 +24,13 @@ Python:
 * ``repro-smarts serve`` — run the simulation-as-a-service HTTP job
   server (``repro.server``): submit RunSpecs and studies as JSON over
   REST, poll jobs, fetch results; ``--host/--port/--workers/
-  --queue-depth/--job-timeout`` tune the service.
-* ``repro-smarts jobs ls|gc`` — inspect and clean the on-disk ``.jobs/``
-  records the server persists across restarts.
+  --queue-depth`` tune the service.
+* ``repro-smarts jobs ls`` — list the server's job records (the
+  ``<artifacts>/jobs`` work queue it keeps across restarts).
 * ``repro-smarts store ls|stats|gc`` — inspect and collect the unified
   content-addressed artifact store (``.artifacts/``) every cache lives
-  in: run results, checkpoint sets, BBV profiles, reference traces.
+  in: run results, checkpoint sets, BBV profiles, reference traces;
+  ``gc`` also prunes the work-queue and server job records.
 * ``repro-smarts worker`` — run a queue worker process draining the
   file-based work queue of the ``queue`` executor backend (started by
   ``QueueBackend`` per batch, or by hand for a standing worker fleet);
@@ -323,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background job worker threads")
     serve.add_argument("--queue-depth", type=int, default=16,
                        help="max queued jobs before submissions get 429")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       help="per-job timeout in seconds (default: none)")
     serve.add_argument("--no-cache", action="store_true",
                        help="bypass the shared run-result cache (every "
                             "submission simulates)")
@@ -334,20 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "automatic)")
 
     jobs = sub.add_parser(
-        "jobs", help="inspect and clean the server's on-disk job records")
+        "jobs", help="inspect the server's on-disk job records")
     jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
     jobs_ls = jobs_sub.add_parser("ls", help="list persisted job records")
     jobs_ls.add_argument("--json", action="store_true",
                          help="emit the job records as JSON")
-    jobs_gc = jobs_sub.add_parser(
-        "gc", help="remove finished job records (and stray tmp files)")
-    jobs_gc.add_argument("--max-age-days", type=float, default=None,
-                         help="remove done/failed records older than this")
-    jobs_gc.add_argument("--all", action="store_true",
-                         help="remove every job record")
-    jobs_gc.add_argument("--dry-run", action="store_true",
-                         help="report what would be removed without "
-                              "deleting")
 
     return parser
 
@@ -774,17 +764,20 @@ def _cmd_store(args: argparse.Namespace) -> int:
     for path in removed:
         print(f"  {path.name}")
     if namespaces is None:
-        # The work queue lives under the same artifact root; its
-        # terminal done/failed envelopes age out with the same flags.
+        # The work queue and the server's job queue live under the same
+        # artifact root; their terminal done/failed envelopes age out
+        # with the same flags.
         from repro.backends.queue import FileWorkQueue
+        from repro.server.jobs import jobs_queue
 
-        queue = FileWorkQueue()
-        queue_removed = queue.gc(max_age_days=args.max_age_days,
-                                 remove_all=args.all, dry_run=args.dry_run)
-        print(f"{verb} {len(queue_removed)} queue record(s) from "
-              f"{queue.directory}")
-        for path in queue_removed:
-            print(f"  {path.name}")
+        for queue in (FileWorkQueue(), jobs_queue()):
+            queue_removed = queue.gc(max_age_days=args.max_age_days,
+                                     remove_all=args.all,
+                                     dry_run=args.dry_run)
+            print(f"{verb} {len(queue_removed)} queue record(s) from "
+                  f"{queue.directory}")
+            for path in queue_removed:
+                print(f"  {path.name}")
     return 0
 
 
@@ -806,39 +799,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        job_timeout=args.job_timeout,
         use_cache=not args.no_cache,
         backend=args.backend,
     ))
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.server import JobStore
+    from repro.server.jobs import jobs_queue, list_jobs
 
-    store = JobStore()
-    if args.jobs_command == "ls":
-        records = store.load_all()
-        if args.json:
-            print(json.dumps({"directory": str(store.directory),
-                              "jobs": [r.describe() for r in records]},
-                             indent=2, sort_keys=True))
-            return 0
-        rows = [[r.id, r.kind, r.status,
-                 r.payload.get("benchmark") or r.payload.get("study", ""),
-                 "yes" if r.cached else "-",
-                 "-" if r.error is None else r.error[:40]]
-                for r in records]
-        print(format_table(
-            ["id", "kind", "status", "target", "cached", "error"], rows,
-            title=f"Job store: {store.directory} ({len(records)} records)"))
+    queue = jobs_queue()
+    records = list_jobs(queue)
+    if args.json:
+        print(json.dumps({"directory": str(queue.directory),
+                          "jobs": records}, indent=2, sort_keys=True))
         return 0
-    # gc
-    removed = store.gc(max_age_days=args.max_age_days, remove_all=args.all,
-                       dry_run=args.dry_run)
-    verb = "would remove" if args.dry_run else "removed"
-    print(f"{verb} {len(removed)} file(s) from {store.directory}")
-    for path in removed:
-        print(f"  {path.name}")
+    rows = [[r["id"], r["kind"], r["status"],
+             r["payload"].get("benchmark") or r["payload"].get("study", ""),
+             "yes" if r["cached"] else "-",
+             (r["error"] or "-").strip().splitlines()[-1][:40]]
+            for r in records]
+    print(format_table(
+        ["id", "kind", "status", "target", "cached", "error"], rows,
+        title=f"Job store: {queue.directory} ({len(records)} records)"))
     return 0
 
 

@@ -22,9 +22,10 @@ Site                 Where it fires
 ``queue.claim``      :meth:`repro.backends.queue.FileWorkQueue.claim_next`
 ``queue.heartbeat``  :meth:`repro.backends.queue.FileWorkQueue.heartbeat`
 ``queue.requeue``    :meth:`FileWorkQueue.requeue_stale`
-``worker.execute``   :func:`repro.backends.worker.process_job`
+``worker.execute``   :func:`repro.backends.worker.execute_job`
 ``pool.task``        the local-pool worker, before executing a spec
-``server.job``       :meth:`repro.server.jobs.JobQueue._execute`
+``server.job``       :meth:`repro.server.jobs.JobQueue._execute` (the
+                     server's job body, run by the shared worker loop)
 ===================  ====================================================
 
 Activation is explicit: either the ``REPRO_FAULT_PLAN`` environment

@@ -2,8 +2,10 @@
 
 A long-lived HTTP job service (stdlib WSGI, no new dependencies) that
 accepts :class:`~repro.api.spec.RunSpec` and registered
-:class:`~repro.api.study.Study` submissions as JSON, runs them through a
-bounded background job queue into the existing
+:class:`~repro.api.study.Study` submissions as JSON, keeps them as jobs
+in a bounded :class:`~repro.backends.queue.FileWorkQueue` directory
+(``<artifact root>/jobs``) that worker threads drain with the shared
+queue-worker loop into the existing
 :class:`~repro.api.session.Session`, and serves results, tidy rows, and
 rendered reports back over REST.  Because every run goes through the
 spec-hash :class:`~repro.api.executor.ResultCache`, the cache acts as a
@@ -31,19 +33,15 @@ from repro.server.app import (
     serve,
 )
 from repro.server.client import ReproClient, ServerError
-from repro.server.jobs import JobQueue, JobTimeout, QueueClosed, QueueFull
+from repro.server.jobs import JobQueue, QueueClosed, QueueFull
 from repro.server.schemas import (
     ValidationError,
     parse_run_payload,
     parse_study_payload,
 )
-from repro.server.store import JobRecord, JobStore, default_jobs_dir
 
 __all__ = [
     "JobQueue",
-    "JobRecord",
-    "JobStore",
-    "JobTimeout",
     "QueueClosed",
     "QueueFull",
     "ReproApp",
@@ -52,7 +50,6 @@ __all__ = [
     "ServerError",
     "ValidationError",
     "create_app",
-    "default_jobs_dir",
     "make_http_server",
     "parse_run_payload",
     "parse_study_payload",

@@ -1,13 +1,12 @@
 """The WSGI application factory and the stdlib HTTP server around it.
 
-:func:`create_app` wires a :class:`~repro.api.session.Session`, a
-:class:`~repro.server.store.JobStore`, and a
-:class:`~repro.server.jobs.JobQueue` into one WSGI callable
-(:class:`ReproApp`).  The object is importable and callable in-process —
-tests and :class:`~repro.server.client.ReproClient` drive it without a
-socket — and :func:`serve` mounts the same app on a threading
-``wsgiref`` server for real HTTP traffic (stdlib only, no new
-dependencies).
+:func:`create_app` wires a :class:`~repro.api.session.Session` and a
+:class:`~repro.server.jobs.JobQueue` (the server's job directory and
+its worker threads) into one WSGI callable (:class:`ReproApp`).  The
+object is importable and callable in-process — tests and
+:class:`~repro.server.client.ReproClient` drive it without a socket —
+and :func:`serve` mounts the same app on a threading ``wsgiref`` server
+for real HTTP traffic (stdlib only, no new dependencies).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 from repro.api.session import Session
 from repro.server.jobs import JobQueue
 from repro.server.routes import Response, dispatch
-from repro.server.store import JobStore
 
 
 @dataclass
@@ -30,18 +28,18 @@ class ServerConfig:
     """Everything :func:`create_app` / :func:`serve` can be told.
 
     ``cache_dir`` defaults to the artifact store's ``result`` namespace
-    (``REPRO_ARTIFACT_DIR``), ``jobs_dir`` to the repository-level
-    ``.jobs`` directory (``REPRO_JOBS_DIR``).  ``job_timeout`` is seconds per job, ``None``
-    for unlimited.  ``study_context`` overrides the process-wide
-    :func:`~repro.api.study.default_context` for study jobs (used by
-    tests to run miniature grids).
+    (``REPRO_ARTIFACT_DIR``).  ``jobs_dir`` is the server's job
+    :class:`~repro.backends.queue.FileWorkQueue` directory, default
+    ``<artifact root>/jobs``.  ``study_context`` overrides the
+    process-wide :func:`~repro.api.study.default_context` for study jobs
+    (used by tests to run miniature grids).  To bound a job's time, use
+    ``backend=QueueBackend(timeout=...)``, which kills its worker process.
     """
 
     host: str = "127.0.0.1"
     port: int = 8023
     workers: int = 2
     queue_depth: int = 16
-    job_timeout: float | None = None
     cache_dir: str | Path | None = None
     jobs_dir: str | Path | None = None
     use_cache: bool = True
@@ -94,13 +92,11 @@ class ReproApp:
         self.session = Session(cache_dir=config.cache_dir,
                                use_cache=config.use_cache,
                                backend=config.backend)
-        self.store = JobStore(config.jobs_dir)
         self.queue = JobQueue(
             session=self.session,
-            store=self.store,
+            directory=config.jobs_dir,
             workers=config.workers,
             queue_depth=config.queue_depth,
-            job_timeout=config.job_timeout,
             study_context=config.study_context,
         )
 
@@ -120,7 +116,7 @@ class ReproApp:
         return [response.body]
 
     def close(self) -> None:
-        """Graceful shutdown: finish in-flight jobs, join the workers."""
+        """Graceful shutdown: drain queued jobs, join the workers."""
         self.queue.shutdown(wait=True)
 
 

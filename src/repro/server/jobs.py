@@ -1,48 +1,45 @@
-"""The background job queue: worker threads draining into a Session.
+"""The server's jobs: a FileWorkQueue drained by worker threads.
 
-Submissions enter a bounded :class:`queue.Queue`; worker threads pull
-job ids off it and execute through the shared
-:class:`~repro.api.session.Session` — which means every run goes
-through the :class:`~repro.api.executor.ResultCache`, turning the
-spec-hash cache into a cross-client memo: the second client to submit
-an identical spec is answered without simulating.
+Each submission is a job file in the server's own
+:class:`~repro.backends.queue.FileWorkQueue` directory (default
+``<artifact root>/jobs``); its state directory is its status
+(``pending`` → queued, ``claimed`` → running, ``done``, ``failed``).
+Worker threads drain it with the shared claim loop,
+:func:`~repro.backends.worker.run_worker`, into one
+:class:`~repro.api.session.Session`, so every run goes through the
+:class:`~repro.api.executor.ResultCache` — a cross-client memo: the
+second client to submit an identical spec is answered without
+simulating.
 
-Design points:
-
-* **Idempotent submission.**  Job ids are content hashes (see
-  :mod:`repro.server.store`); resubmitting work that is queued, running,
-  or done returns the existing record.  A *failed* job resubmits as a
-  fresh attempt under the same id.
-* **Bounded depth.**  A full queue raises :class:`QueueFull`, which the
-  route layer renders as HTTP 429 — backpressure instead of unbounded
-  memory growth.
-* **Per-job timeout.**  Jobs execute on an inner daemon thread when a
-  timeout is configured; a job that exceeds it is marked failed and the
-  worker moves on to the next job (the abandoned computation finishes
-  in the background and may still populate the result cache — Python
-  threads cannot be killed, so this protects queue *throughput*, not
-  CPU).
-* **Graceful shutdown.**  :meth:`shutdown` stops intake (submissions
-  raise :class:`QueueClosed` → HTTP 503), lets in-flight jobs finish,
-  and joins the workers.
-* **Restart recovery.**  On construction the queue reloads the job
-  store; jobs that were queued or running when the previous process
-  died are re-enqueued (their ``restarts`` counter ticks up), finished
-  jobs stay served from their records.
+Job ids are content hashes (``run-<RunSpec.key()>``,
+``study-<hash of {study, params}>``): resubmitting work that is queued,
+running, or done returns the existing record, and a *failed* job
+resubmits under the same id.  Submissions finding ``queue_depth`` jobs
+pending raise :class:`QueueFull` (HTTP 429), and after shutdown starts
+:class:`QueueClosed` (HTTP 503).  Job errors go through the shared
+:class:`~repro.reliability.RetryPolicy` (transient ones requeue); a
+time bound is ``QueueBackend(timeout=...)`` as the session's backend,
+which kills its worker process at the deadline.  At start-up the
+directory is this server's alone, so every pending or claimed job
+counts one more restart and claimed ones go back to pending.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-
 import time
 
+from repro.api.resultset import to_jsonable
 from repro.api.session import Session
 from repro.api.spec import RunResult, RunSpec
 from repro.api.study import Study, default_context, get_study
-from repro.api.resultset import to_jsonable
-from repro.server.store import JobRecord, JobStore, study_job_hash
+from repro.backends.queue import FileWorkQueue
+from repro.backends.worker import run_worker
+from repro.store import default_artifact_dir, fingerprint
+
+#: Job status reported for each queue state.
+STATUS = {"pending": "queued", "claimed": "running",
+          "done": "done", "failed": "failed"}
 
 
 class QueueFull(Exception):
@@ -51,10 +48,6 @@ class QueueFull(Exception):
 
 class QueueClosed(Exception):
     """The service is shutting down; no new submissions (HTTP 503)."""
-
-
-class JobTimeout(Exception):
-    """A job exceeded the configured per-job timeout."""
 
 
 def execute_run(session: Session, spec: RunSpec) -> RunResult:
@@ -67,34 +60,71 @@ def execute_study(session: Session, study: Study, params: dict, ctx=None):
     return session.run_study(study, ctx=ctx, params=params)
 
 
-class JobQueue:
-    """Bounded queue + worker threads in front of one Session."""
+def jobs_queue(directory=None) -> FileWorkQueue:
+    """The server's job directory, default ``<artifact root>/jobs`` — not
+    the queue backend's ``queue``, whose jobs a server thread would
+    otherwise claim and then wait on."""
+    return FileWorkQueue(directory or default_artifact_dir() / "jobs")
 
-    def __init__(self, session: Session, store: JobStore,
+
+def describe(name: str, state: str, record: dict) -> dict:
+    """A job record as ``GET /jobs/<id>`` reports it (no result body)."""
+    job = record["job"] if state in ("done", "failed") else record
+    return {
+        "id": name,
+        "kind": job["kind"],
+        "status": STATUS[state],
+        "payload": job["payload"],
+        "submitted_at": job["submitted_at"],
+        "started_at": None if state == "pending" else job.get("started_at"),
+        "finished_at": record.get("finished_at"),
+        "error": record.get("error"),
+        "cached": bool(record.get("worker", {}).get("cached")),
+        "restarts": job.get("restarts", 0),
+        "has_result": state == "done",
+        "failures": record.get("failures"),
+    }
+
+
+def list_jobs(queue: FileWorkQueue, status: str | None = None) -> list[dict]:
+    """Every job record, oldest submission first (a job seen in two
+    states while it moves counts in the first, as in ``lookup``)."""
+    records: dict[str, dict] = {}
+    for name, state, record in queue.records():
+        records.setdefault(name, describe(name, state, record))
+    listing = sorted(records.values(), key=lambda r: r["submitted_at"])
+    if status is not None:
+        listing = [r for r in listing if r["status"] == status]
+    return listing
+
+
+class JobQueue:
+    """The server's job directory + worker threads in front of a Session."""
+
+    def __init__(self, session: Session, directory=None,
                  workers: int = 2, queue_depth: int = 16,
-                 job_timeout: float | None = None,
                  study_context=None):
         self.session = session
-        self.store = store
+        self.work_queue = jobs_queue(directory)
         self.queue_depth = queue_depth
-        self.job_timeout = job_timeout
         self.study_context = study_context
-        self._queue: queue.Queue = queue.Queue(maxsize=max(queue_depth, 1))
         self._lock = threading.Lock()
-        self._jobs: dict[str, JobRecord] = {}
+        #: One token per submission (and per worker at shutdown): idle
+        #: workers sleep on it instead of polling the directory.
+        self._wake = threading.Semaphore(0)
+        #: Done envelopes by job id.  They never change once written, so
+        #: a dedupe or poll of a finished job costs a ``stat``, not a read.
+        self._done: dict[str, dict] = {}
         self._closed = False
         self.hits = 0
         self.misses = 0
-        #: Timed-out job threads we walked away from (still burning CPU
-        #: until their computation ends — Python threads cannot be
-        #: killed).  Tracked so /healthz can expose the leak instead of
-        #: hiding it; dead threads are pruned on read.
-        self._abandoned: list[threading.Thread] = []
-        self.abandoned_total = 0
         self._recover()
         self._workers = [
-            threading.Thread(target=self._worker_loop, daemon=True,
-                             name=f"repro-job-worker-{i}")
+            threading.Thread(target=run_worker,
+                             args=(self.work_queue.directory,),
+                             kwargs={"execute": self._execute,
+                                     "idle": self._idle},
+                             daemon=True, name=f"repro-job-worker-{i}")
             for i in range(workers)
         ]
         for worker in self._workers:
@@ -103,233 +133,129 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit_run(self, spec: RunSpec) -> tuple[JobRecord, bool]:
-        """Submit a run job; returns ``(record, created)``.
-
-        Dedupes on the spec hash, and answers straight from the result
-        cache — job born ``done`` with ``cached=True`` — when the spec
-        has already been simulated by any client.
-        """
-        job_id = f"run-{spec.key()}"
-        with self._lock:
-            existing = self._dedupe(job_id)
-            if existing is not None:
-                return existing, False
-            record = JobRecord(id=job_id, kind="run", payload=spec.to_dict())
-            cached = self.session.executor.cache.get(spec)
-            if cached is not None:
-                self.hits += 1
-                now = time.time()
-                record.status = "done"
-                record.cached = True
-                record.started_at = record.finished_at = now
-                record.result = cached.to_dict()
-                self._register(record)
-                return record, True
-            self._enqueue(record)
-            return record, True
+    def submit_run(self, spec: RunSpec) -> tuple[dict, bool]:
+        """Submit a run job; returns ``(record, created)``.  A spec any
+        client has simulated is answered from the result cache, born
+        ``done`` with ``cached=True``."""
+        return self._submit(f"run-{spec.key()}", "run", spec.to_dict(), spec)
 
     def submit_study(self, study: Study | str,
-                     params: dict | None = None) -> tuple[JobRecord, bool]:
+                     params: dict | None = None) -> tuple[dict, bool]:
         """Submit a study job; returns ``(record, created)``."""
         if isinstance(study, str):
             study = get_study(study)
-        params = dict(params or {})
-        job_id = f"study-{study_job_hash(study.name, params)}"
+        payload = {"study": study.name, "params": dict(params or {})}
+        return self._submit(f"study-{fingerprint(payload)}", "study",
+                            payload)
+
+    def _submit(self, job_id: str, kind: str, payload: dict,
+                spec: RunSpec | None = None) -> tuple[dict, bool]:
         with self._lock:
-            existing = self._dedupe(job_id)
-            if existing is not None:
-                return existing, False
-            record = JobRecord(id=job_id, kind="study",
-                               payload={"study": study.name,
-                                        "params": params})
-            self._enqueue(record)
-            return record, True
-
-    def _dedupe(self, job_id: str) -> JobRecord | None:
-        """The existing record resubmission maps to, if reusable."""
-        existing = self._jobs.get(job_id)
-        if existing is not None and existing.status != "failed":
-            return existing
-        return None
-
-    def _enqueue(self, record: JobRecord) -> None:
-        if self._closed:
-            raise QueueClosed("server is shutting down")
-        try:
-            self._queue.put_nowait(record.id)
-        except queue.Full:
-            raise QueueFull(
-                f"job queue is full ({self.queue_depth} queued)") from None
-        record.status = "queued"
-        record.error = None
-        record.finished_at = None
-        self._register(record)
-
-    def _register(self, record: JobRecord) -> None:
-        self._jobs[record.id] = record
-        self.store.save(record)
+            found = self.lookup(job_id)
+            if found is not None and found[0]["status"] != "failed":
+                return found[0], False
+            self._done.pop(job_id, None)  # a gc'd record may come back
+            job = {"kind": kind, "payload": payload,
+                   "submitted_at": time.time(), "restarts": 0}
+            cached = self.session.executor.cache.get(spec) if spec else None
+            if cached is not None:
+                self.hits += 1
+                job["started_at"] = job["submitted_at"]
+                envelope = self.work_queue.complete(
+                    job_id, cached.to_dict(), {"cached": True}, job=job)
+                self._done[job_id] = envelope
+                return describe(job_id, "done", envelope), True
+            if self._closed:
+                raise QueueClosed("server is shutting down")
+            pending = self.work_queue.counts(("pending",))["pending"]
+            if pending >= self.queue_depth:
+                raise QueueFull(
+                    f"job queue is full ({self.queue_depth} queued)")
+            self.work_queue.enqueue(job_id, job)
+            self._wake.release()
+            return describe(job_id, "pending", job), True
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def job(self, job_id: str) -> JobRecord | None:
-        with self._lock:
-            return self._jobs.get(job_id)
+    def lookup(self, job_id: str) -> tuple[dict, dict | None] | None:
+        """``(record, result)`` of one job; the result once it is done."""
+        envelope = self._done.get(job_id)
+        if envelope is not None and self.work_queue.exists("done", job_id):
+            return describe(job_id, "done", envelope), envelope["result"]
+        found = self.work_queue.lookup(job_id)
+        if found is None:
+            return None
+        state, record = found
+        if state == "done":
+            self._done[job_id] = record
+        return describe(job_id, state, record), record.get("result")
 
-    def jobs(self, status: str | None = None) -> list[JobRecord]:
-        with self._lock:
-            records = sorted(self._jobs.values(),
-                             key=lambda r: r.submitted_at)
-        if status is not None:
-            records = [r for r in records if r.status == status]
-        return records
+    def jobs(self, status: str | None = None) -> list[dict]:
+        return list_jobs(self.work_queue, status)
 
     def counts(self) -> dict:
-        counts = {"queued": 0, "running": 0, "done": 0, "failed": 0}
-        with self._lock:
-            for record in self._jobs.values():
-                counts[record.status] = counts.get(record.status, 0) + 1
-        return counts
-
-    def abandoned_jobs(self) -> int:
-        """Timed-out job threads still alive right now (a gauge).
-
-        ``abandoned_total`` is the matching lifetime counter; the gauge
-        prunes threads whose computation has since finished.
-        """
-        with self._lock:
-            self._abandoned = [t for t in self._abandoned if t.is_alive()]
-            return len(self._abandoned)
+        return {STATUS[state]: count
+                for state, count in self.work_queue.counts().items()}
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution (the per-claim body of the shared worker loop)
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            job_id = self._queue.get()
-            if job_id is None:  # shutdown sentinel
-                self._queue.task_done()
-                return
-            try:
-                self._run_job(job_id)
-            finally:
-                self._queue.task_done()
-
-    def _run_job(self, job_id: str) -> None:
-        with self._lock:
-            record = self._jobs.get(job_id)
-            if record is None or record.status != "queued":
-                return
-            record.status = "running"
-            record.started_at = time.time()
-            self.store.save(record)
-        try:
-            result = self._call_with_timeout(lambda: self._execute(record))
-        except Exception as exc:  # noqa: BLE001 — job errors become records
-            from repro.reliability.report import BatchExecutionError
-
-            with self._lock:
-                record.status = "failed"
-                record.error = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, BatchExecutionError):
-                    # Partial failure: keep the per-spec envelopes on the
-                    # record (the completed siblings' results already
-                    # reached the shared cache).
-                    record.failures = [f.to_dict()
-                                       for f in exc.report.failures]
-                record.finished_at = time.time()
-                self.store.save(record)
-            return
-        with self._lock:
-            record.status = "done"
-            record.result = result
-            record.finished_at = time.time()
-            self.store.save(record)
-
-    def _execute(self, record: JobRecord) -> dict:
+    def _execute(self, queue: FileWorkQueue, name: str,
+                 job: dict) -> tuple[dict, dict]:
         from repro.reliability.faults import inject
 
-        inject("server.job", record.id)
-        if record.kind == "run":
-            spec = RunSpec.from_dict(record.payload)
+        job["started_at"] = time.time()
+        queue.put("claimed", name, job)
+        inject("server.job", name)
+        if job["kind"] == "run":
+            spec = RunSpec.from_dict(job["payload"])
             cached = self.session.executor.cache.get(spec)
+            with self._lock:
+                self.hits += cached is not None
+                self.misses += cached is None
             if cached is not None:  # populated since submission
-                record.cached = True
-                self.hits += 1
-                return cached.to_dict()
-            self.misses += 1
-            return execute_run(self.session, spec).to_dict()
-        study = get_study(record.payload["study"])
+                return cached.to_dict(), {"cached": True}
+            return execute_run(self.session, spec).to_dict(), {}
+        study = get_study(job["payload"]["study"])
         ctx = self.study_context or default_context()
         report = execute_study(self.session, study,
-                               record.payload.get("params", {}), ctx=ctx)
+                               job["payload"].get("params", {}), ctx=ctx)
         data = {k: to_jsonable(v) for k, v in report.data.items()
                 if k != "report"}
         return {"study": report.study, "title": report.title,
                 "rows": to_jsonable(report.rows), "data": data,
-                "report": report.report}
+                "report": report.report}, {}
 
-    def _call_with_timeout(self, fn):
-        if not self.job_timeout:
-            return fn()
-        box: dict = {}
-        done = threading.Event()
-
-        def target() -> None:
-            try:
-                box["result"] = fn()
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-            finally:
-                done.set()
-
-        thread = threading.Thread(target=target, daemon=True,
-                                  name="repro-job-timeout")
-        thread.start()
-        if not done.wait(self.job_timeout):
-            with self._lock:
-                self._abandoned = [t for t in self._abandoned
-                                   if t.is_alive()]
-                self._abandoned.append(thread)
-                self.abandoned_total += 1
-            raise JobTimeout(
-                f"job exceeded the {self.job_timeout:g}s timeout "
-                f"(abandoned; the worker moved on)")
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
+    def _idle(self, idle_for: float) -> bool:
+        """Sleep until a submission or shutdown; False once drained."""
+        if self._closed:
+            return False
+        self._wake.acquire()
+        return True
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Reload the store; re-enqueue work interrupted by a restart."""
-        for record in self.store.load_all():
-            self._jobs[record.id] = record
-            if record.status in ("queued", "running"):
-                record.restarts += 1
-                try:
-                    self._queue.put_nowait(record.id)
-                except queue.Full:
-                    record.status = "failed"
-                    record.error = ("job queue full after restart; "
-                                    "resubmit to retry")
-                    record.finished_at = time.time()
-                    self.store.save(record)
-                    continue
-                record.status = "queued"
-                record.started_at = None
-                self.store.save(record)
+        """Count a restart on unfinished jobs; requeue interrupted ones."""
+        unfinished = self.work_queue.records(("pending", "claimed"))
+        for name, state, job in list(unfinished):
+            job["restarts"] = job.get("restarts", 0) + 1
+            job.pop("started_at", None)
+            if state == "claimed":
+                self.work_queue.requeue(name, job)
+            else:
+                self.work_queue.put("pending", name, job)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop intake, let in-flight jobs finish, join the workers."""
+        """Stop intake, let the workers drain the queue, join them."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         for _ in self._workers:
-            self._queue.put(None)
+            self._wake.release()
         if wait:
             for worker in self._workers:
                 worker.join()

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from repro.api.spec import RunResult
 from repro.api.study import STUDIES
 from repro.api.resultset import rows_to_csv
-from repro.server.jobs import QueueClosed, QueueFull
+from repro.server.jobs import STATUS, QueueClosed, QueueFull
 from repro.server.schemas import (
     ValidationError,
     parse_run_payload,
@@ -95,76 +95,72 @@ def handle_health(app, request) -> Response:
         "status": "shutting-down" if app.queue.closed else "ok",
         "workers": app.config.workers,
         "queue_depth": app.config.queue_depth,
-        "job_timeout": app.config.job_timeout,
         "jobs": app.queue.counts(),
-        "abandoned_jobs": app.queue.abandoned_jobs(),
-        "abandoned_total": app.queue.abandoned_total,
     })
 
 
 def handle_submit_run(app, request) -> Response:
     spec = parse_run_payload(request.json)
     record, created = app.queue.submit_run(spec)
-    payload = record.describe()
-    payload["created"] = created
-    return Response.json(202 if created and record.status == "queued"
-                         else 200, payload)
+    return Response.json(202 if created and record["status"] == "queued"
+                         else 200, {**record, "created": created})
 
 
 def handle_submit_study(app, request) -> Response:
     study, params = parse_study_payload(request.json)
     record, created = app.queue.submit_study(study, params)
-    payload = record.describe()
-    payload["created"] = created
-    return Response.json(202 if created else 200, payload)
+    return Response.json(202 if created else 200,
+                         {**record, "created": created})
 
 
 def handle_jobs(app, request) -> Response:
     status = request.query.get("status")
-    if status is not None and status not in ("queued", "running",
-                                             "done", "failed"):
+    if status is not None and status not in STATUS.values():
         return Response.error(400, f"unknown status filter {status!r}")
     return Response.json(200, {
-        "jobs": [record.describe() for record in app.queue.jobs(status)],
+        "jobs": app.queue.jobs(status),
     })
 
 
 def handle_job(app, request, job_id: str) -> Response:
-    record = app.queue.job(job_id)
-    if record is None:
+    found = app.queue.lookup(job_id)
+    if found is None:
         return Response.error(404, f"unknown job {job_id!r}")
-    return Response.json(200, record.describe())
+    return Response.json(200, found[0])
 
 
 def _finished_job(app, job_id: str, kind: str):
-    """The done job behind a result route, or the error Response."""
-    record = app.queue.job(job_id)
-    if record is None or record.kind != kind:
-        return None, Response.error(404, f"unknown {kind} job {job_id!r}")
-    if record.status in ("queued", "running"):
-        return None, Response.json(202, record.describe())
-    if record.status == "failed":
-        return None, Response.error(409, f"job {job_id} failed",
-                                    detail=record.error)
-    return record, None
+    """``(record, result)`` of the done job behind a result route, or
+    the error Response."""
+    found = app.queue.lookup(job_id)
+    if found is None or found[0]["kind"] != kind:
+        return Response.error(404, f"unknown {kind} job {job_id!r}")
+    record = found[0]
+    if record["status"] in ("queued", "running"):
+        return Response.json(202, record)
+    if record["status"] == "failed":
+        return Response.error(409, f"job {job_id} failed",
+                              detail=record["error"])
+    return found
 
 
 def handle_run_result(app, request, job_id: str) -> Response:
-    record, error = _finished_job(app, job_id, "run")
-    if error is not None:
-        return error
+    found = _finished_job(app, job_id, "run")
+    if isinstance(found, Response):
+        return found
+    record, data = found
     view = request.query.get("view", "estimates")
     if view not in ("estimates", "full", "summary"):
         return Response.error(400, f"unknown view {view!r}; "
                                    f"available: estimates, full, summary")
-    result = RunResult.from_dict(record.result)
+    result = RunResult.from_dict(data)
     if view == "estimates":
         payload = result.estimates_dict()
     elif view == "summary":
         payload = result.summary()
     else:
         payload = result.to_dict()
-    return Response.json(200, {"id": record.id, "cached": record.cached,
+    return Response.json(200, {"id": job_id, "cached": record["cached"],
                                "view": view, "result": payload})
 
 
@@ -175,26 +171,26 @@ def handle_studies(app, request) -> Response:
 
 
 def handle_study_rows(app, request, job_id: str) -> Response:
-    record, error = _finished_job(app, job_id, "study")
-    if error is not None:
-        return error
+    found = _finished_job(app, job_id, "study")
+    if isinstance(found, Response):
+        return found
+    result = found[1]
     fmt = request.query.get("format", "json")
     if fmt == "csv":
-        return Response(200, rows_to_csv(record.result["rows"]).encode(),
+        return Response(200, rows_to_csv(result["rows"]).encode(),
                         content_type="text/csv")
     if fmt != "json":
         return Response.error(400, f"unknown format {fmt!r}; "
                                    f"available: json, csv")
-    return Response.json(200, {"id": record.id,
-                               "study": record.result["study"],
-                               "rows": record.result["rows"]})
+    return Response.json(200, {"id": job_id, "study": result["study"],
+                               "rows": result["rows"]})
 
 
 def handle_study_report(app, request, job_id: str) -> Response:
-    record, error = _finished_job(app, job_id, "study")
-    if error is not None:
-        return error
-    return Response.text(200, record.result.get("report", ""))
+    found = _finished_job(app, job_id, "study")
+    if isinstance(found, Response):
+        return found
+    return Response.text(200, found[1].get("report", ""))
 
 
 def handle_cache_stats(app, request) -> Response:

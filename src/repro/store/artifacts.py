@@ -40,7 +40,6 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.paths import project_cache_dir
 from repro.reliability.faults import corrupt_bytes, inject
 
 #: The typed namespaces of the store (subdirectories of the root).
@@ -56,8 +55,15 @@ class ArtifactCorruptionWarning(UserWarning):
 
 
 def default_artifact_dir() -> Path:
-    """The store root (``REPRO_ARTIFACT_DIR``, default ``.artifacts/``)."""
-    return project_cache_dir("REPRO_ARTIFACT_DIR", ".artifacts")
+    """The store root: ``REPRO_ARTIFACT_DIR``, else ``.artifacts/`` in a
+    src-layout checkout's root or, installed, the working directory."""
+    env = os.environ.get("REPRO_ARTIFACT_DIR")
+    if env:
+        return Path(env)
+    root = Path(__file__).resolve().parents[3]
+    if (root / "src" / "repro").is_dir():
+        return root / ".artifacts"
+    return Path.cwd() / ".artifacts"
 
 
 def fingerprint(payload) -> str:

@@ -143,6 +143,80 @@ class TestFileWorkQueue:
         queue.claim_next()
         assert queue.requeue_stale(lease_seconds=30) == []
 
+    def test_record_roundtrip(self):
+        queue = FileWorkQueue()
+        job = {"kind": "run", "payload": {"x": 1}, "submitted_at": 1.0}
+        queue.put("claimed", "run-abc", job)
+        assert queue.lookup("run-abc") == ("claimed", job)
+        envelope = queue.complete("run-abc", {"y": 2}, {"cached": True},
+                                  job=job)
+        assert queue.lookup("run-abc") == ("done", envelope)
+        assert envelope["job"] == job and envelope["result"] == {"y": 2}
+        assert queue.lookup("run-missing") is None
+
+    def test_corrupt_record_skipped_by_listing(self):
+        queue = FileWorkQueue()
+        queue.put("pending", "run-ok", {"attempts": 0})
+        queue._path("done", "run-bad").parent.mkdir(parents=True)
+        queue._path("done", "run-bad").write_text("{truncated")
+        assert [(name, state) for name, state, _ in queue.records()] \
+            == [("run-ok", "pending")]
+        assert queue.lookup("run-bad") is None
+
+    def test_gc_all_clears_every_state_and_tmp(self):
+        queue = FileWorkQueue()
+        for state in ("pending", "claimed", "done", "failed"):
+            queue.put(state, f"job-{state}", {})
+        (queue._dir("claimed") / "litter.1-2.tmp").write_text("")
+        # Without flags only tmp litter goes; fresh records stay.
+        assert [p.name for p in queue.gc()] == ["litter.1-2.tmp"]
+        assert [p.name for p in queue.gc(max_age_days=30)] == []
+        removed = queue.gc(remove_all=True)
+        assert len(removed) == 4
+        assert list(queue.records()) == []
+
+    def test_concurrent_writes_of_one_record_do_not_collide(self,
+                                                            monkeypatch):
+        """Two threads inside ``_write_json`` on one path at once.
+
+        A tmp name shared by the threads of one process lets the second
+        ``open`` truncate the first writer's bytes and its later rename
+        fail; per-thread tmp names keep both writes whole.
+        """
+        import json
+        import threading
+        from types import SimpleNamespace
+
+        from repro.backends import queue as queue_module
+
+        both_inside = threading.Barrier(2, timeout=10)
+
+        def interleaved_dump(payload, handle, **kwargs):
+            both_inside.wait()  # each writer holds its tmp file open
+            json.dump(payload, handle, **kwargs)
+
+        monkeypatch.setattr(queue_module, "json", SimpleNamespace(
+            dump=interleaved_dump, loads=json.loads))
+        path = FileWorkQueue()._path("pending", "job")
+        errors = []
+
+        def write(payload):
+            try:
+                queue_module._write_json(path, payload)
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=({"writer": i},))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert json.loads(path.read_text()) in ({"writer": 0},
+                                                {"writer": 1})
+        assert list(path.parent.glob("*.tmp")) == []
+
 
 class TestRunWorker:
     def test_worker_drains_queue_in_process(self):

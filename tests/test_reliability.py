@@ -5,9 +5,10 @@ Covers the three layers separately — the deterministic
 backoff, the :class:`BatchReport` envelope contract — plus the
 integration seams: corrupt artifacts are quarantined instead of served,
 a SIGKILLed pool worker does not cost the batch (the satellite
-regression test), queue/job-store gc honors TTLs and ``--dry-run``, the
-server exposes its abandoned-thread leak, and the client polls with
-backoff.
+regression test), queue and server-job gc honors TTLs and ``--dry-run``,
+server jobs retry transient faults and fail permanent ones, a
+``QueueBackend`` timeout kills its worker process, and the client polls
+with backoff.
 """
 
 import json
@@ -39,7 +40,6 @@ def isolated_store(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
     monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
-    monkeypatch.setenv("REPRO_JOBS_DIR", str(tmp_path / "jobs"))
 
 
 def _micro_spec(**changes) -> RunSpec:
@@ -430,7 +430,7 @@ class TestQueueWorkerRetry:
 
 
 # ----------------------------------------------------------------------
-# Queue and job-store gc
+# Queue and server-job gc
 # ----------------------------------------------------------------------
 class TestQueueGC:
     def test_ttl_prunes_only_terminal_states(self):
@@ -473,50 +473,108 @@ class TestQueueGC:
 
     def test_jobs_gc_dry_run(self, capsys):
         from repro.cli import main
-        from repro.server import JobStore
-        from repro.server.store import JobRecord
+        from repro.server.jobs import jobs_queue
 
-        store = JobStore()
-        record = JobRecord(id="run-x", kind="run", payload={},
-                           status="done")
-        record.submitted_at = time.time() - 10 * 86400
-        store.save(record)
-        assert main(["jobs", "gc", "--max-age-days", "7",
+        queue = jobs_queue()
+        queue.complete("run-x", {}, {}, job={"kind": "run", "payload": {},
+                                              "submitted_at": 1.0})
+        path = queue.directory / "done" / "run-x.json"
+        old = time.time() - 10 * 86400
+        os.utime(path, (old, old))
+        assert main(["store", "gc", "--max-age-days", "7",
                      "--dry-run"]) == 0
-        assert "would remove" in capsys.readouterr().out
-        assert store.load("run-x") is not None
-        assert main(["jobs", "gc", "--max-age-days", "7"]) == 0
-        assert store.load("run-x") is None
+        out = capsys.readouterr().out
+        assert "would remove" in out and "run-x.json" in out
+        assert queue.result("run-x") is not None
+        assert main(["store", "gc", "--max-age-days", "7"]) == 0
+        assert queue.result("run-x") is None
 
 
 # ----------------------------------------------------------------------
-# Server: partial failure surfaced, abandoned threads counted
+# Server: job retries, partial failure surfaced, killable timeouts
 # ----------------------------------------------------------------------
 class TestServerReliability:
-    def test_job_timeout_counts_abandoned_threads(self):
+    def test_transient_server_job_fault_is_retried(self):
+        from repro.server import create_app
+        from repro.server.client import ReproClient
+
+        spec = _micro_spec()
+        golden = Session(use_cache=False).run(spec).estimates_dict()
+        install_plan({"rules": [{"site": "server.job", "kind": "raise",
+                                 "times": 1}]})
+        app = create_app(workers=1, use_cache=False)
+        client = ReproClient(app=app)
+        try:
+            job = client.submit_run(spec)
+            record = client.wait(job["id"], timeout=60.0)
+            assert record["status"] == "done"
+            done = app.queue.work_queue.result(job["id"])[1]
+            assert done["job"]["attempts"] == 1  # one transient retry
+            result = client.run_result(job["id"])["result"]
+            assert (json.dumps(result, sort_keys=True)
+                    == json.dumps(golden, sort_keys=True))
+        finally:
+            app.close()
+
+    def test_permanent_server_job_fault_fails_then_resubmits(self):
         from repro.server import create_app
         from repro.server.client import ReproClient, ServerError
 
-        install_plan({"rules": [{"site": "server.job", "kind": "delay",
-                                 "delay": 0.6}]})
-        app = create_app(job_timeout=0.1, workers=1)
+        install_plan({"rules": [{"site": "server.job", "kind": "raise",
+                                 "transient": False, "times": 1}]})
+        app = create_app(workers=1)
         client = ReproClient(app=app)
         try:
             job = client.submit_run(_micro_spec())
-            with pytest.raises(ServerError, match="timeout"):
-                client.wait(job["id"], timeout=30.0)
-            health = client.health()
-            assert health["abandoned_total"] == 1
-            assert health["abandoned_jobs"] >= 0
-            deadline = time.time() + 10
-            while time.time() < deadline:
-                if client.health()["abandoned_jobs"] == 0:
-                    break  # the abandoned computation finished; pruned
-                time.sleep(0.05)
-            assert client.health()["abandoned_jobs"] == 0
-            assert client.health()["abandoned_total"] == 1
+            with pytest.raises(ServerError):
+                client.wait(job["id"], timeout=60.0)
+            record = client.job(job["id"])
+            assert record["status"] == "failed"
+            assert "InjectedFault" in record["error"]
+            with pytest.raises(ServerError) as exc:
+                client.run_result(job["id"])
+            assert exc.value.status == 409
+            retried = client.submit_run(_micro_spec())
+            assert retried["id"] == job["id"]
+            assert retried["created"] is True
+            assert client.wait(job["id"], timeout=60.0)["status"] == "done"
         finally:
-            app.queue.shutdown()
+            app.close()
+
+    def test_queue_backend_timeout_kills_the_job_worker(self, monkeypatch):
+        from repro.backends.queue import QueueBackend
+        from repro.server import create_app
+        from repro.server.client import ReproClient, ServerError
+
+        spawned = []
+        real_spawn = QueueBackend._spawn_workers
+
+        def recording_spawn(self, queue, count):
+            processes = real_spawn(self, queue, count)
+            spawned.extend(processes)
+            return processes
+
+        monkeypatch.setattr(QueueBackend, "_spawn_workers", recording_spawn)
+        # The spawned worker inherits the plan and stalls mid-job.
+        plan = FaultPlan(rules=[FaultRule(site="worker.execute",
+                                          kind="delay", delay=60.0)])
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
+        app = create_app(workers=1, use_cache=False,
+                         backend=QueueBackend(workers=1, poll=0.05,
+                                              timeout=1.0))
+        client = ReproClient(app=app)
+        try:
+            job = client.submit_run(_micro_spec())
+            with pytest.raises(ServerError):
+                client.wait(job["id"], timeout=60.0)
+            record = client.job(job["id"])
+            assert record["status"] == "failed"
+            (envelope,) = record["failures"]
+            assert envelope["error_type"] == "TimeoutError"
+        finally:
+            app.close()
+        assert len(spawned) == 1
+        assert all(process.poll() is not None for process in spawned)
 
     def test_failed_batch_job_carries_failure_envelopes(self, monkeypatch):
         import repro.server.jobs as jobs_module

@@ -25,7 +25,6 @@ from repro.server.client import ReproClient
 def isolated_dirs(tmp_path, monkeypatch):
     """Keep server runs out of the repository-level cache directories."""
     monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
-    monkeypatch.setenv("REPRO_JOBS_DIR", str(tmp_path / "jobs"))
     yield tmp_path
 
 
@@ -159,18 +158,17 @@ class TestRunJobs:
 
     def test_cross_restart_cache_hit(self, client, app, tmp_path,
                                      monkeypatch):
-        """A fresh job store still answers from the shared result cache."""
+        """A fresh jobs dir still answers from the shared result cache."""
         job = client.submit_run(MICRO_PAYLOAD)
         client.wait(job["id"], timeout=120)
         app.close()
         # New service instance, new client, same cache dir, empty jobs dir.
-        monkeypatch.setenv("REPRO_JOBS_DIR", str(tmp_path / "jobs2"))
-
         def fail(session, spec):  # pragma: no cover - must not run
             raise AssertionError("cache hit should not simulate")
 
         monkeypatch.setattr(server_jobs, "execute_run", fail)
-        app2 = create_app(ServerConfig(workers=1))
+        app2 = create_app(ServerConfig(workers=1,
+                                       jobs_dir=tmp_path / "jobs2"))
         try:
             client2 = ReproClient(app=app2)
             resubmitted = client2.submit_run(MICRO_PAYLOAD)

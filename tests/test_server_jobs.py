@@ -1,12 +1,13 @@
-"""Queue semantics, job-store persistence, and cache-write hardening.
+"""Queue semantics, job persistence, and cache-write hardening.
 
 Worker-blocking tests monkeypatch ``repro.server.jobs.execute_run`` with
-event-gated stand-ins so queue-full (429), per-job timeout, and graceful
+event-gated stand-ins so queue-full (429), failed jobs, and graceful
 shutdown are exercised deterministically, without racing on real
 simulation timing.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -14,15 +15,15 @@ import pytest
 
 from repro.api import ResultCache, RunSpec, SystematicStrategy, execute_spec
 from repro.cli import main
-from repro.server import JobRecord, JobStore, ServerConfig, ServerError, create_app
+from repro.server import ServerConfig, ServerError, create_app
 from repro.server import jobs as server_jobs
 from repro.server.client import ReproClient
+from repro.server.jobs import jobs_queue
 
 
 @pytest.fixture(autouse=True)
 def isolated_dirs(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
-    monkeypatch.setenv("REPRO_JOBS_DIR", str(tmp_path / "jobs"))
     yield tmp_path
 
 
@@ -100,15 +101,17 @@ class TestQueueBackpressure:
         assert client.job(job["id"])["status"] == "done"
         assert client.health()["status"] == "shutting-down"
 
-    def test_job_timeout_marks_failed(self, monkeypatch, micro_result):
+    def test_failed_job_is_409_and_resubmittable(self, monkeypatch,
+                                                 micro_result):
         release = threading.Event()
 
-        def slow(session, spec):
-            assert release.wait(30)
+        def gated(session, spec):
+            if not release.is_set():
+                raise ValueError("simulated permanent job error")
             return micro_result
 
-        monkeypatch.setattr(server_jobs, "execute_run", slow)
-        app = create_app(ServerConfig(workers=1, job_timeout=0.05))
+        monkeypatch.setattr(server_jobs, "execute_run", gated)
+        app = create_app(ServerConfig(workers=1))
         try:
             client = ReproClient(app=app)
             job = client.submit_run(MICRO_SPEC.with_(seed=9))
@@ -116,14 +119,14 @@ class TestQueueBackpressure:
                 client.wait(job["id"], timeout=30)
             record = exc.value.payload["job"]
             assert record["status"] == "failed"
-            assert "timeout" in record["error"]
+            assert "simulated permanent job error" in record["error"]
+            assert record["finished_at"] >= record["started_at"]
             # A failed job's result route reports the failure as 409.
             with pytest.raises(ServerError) as exc:
                 client.run_result(job["id"])
             assert exc.value.status == 409
             # Failed jobs may be resubmitted (fresh attempt, same id).
             release.set()
-            app.queue.job_timeout = None
             retried = client.submit_run(MICRO_SPEC.with_(seed=9))
             assert retried["id"] == job["id"]
             assert retried["created"] is True
@@ -131,6 +134,51 @@ class TestQueueBackpressure:
         finally:
             release.set()
             app.close()
+
+    def test_concurrent_submissions_run_each_job_once(self, monkeypatch,
+                                                     micro_result):
+        """More submitters and job threads than cores, tiny switch
+        interval: every distinct job runs exactly once, duplicates
+        dedupe, and the miss counter loses no update."""
+        import sys
+
+        calls = []
+        lock = threading.Lock()
+
+        def counting(session, spec):
+            with lock:
+                calls.append(spec.key())
+            return micro_result
+
+        monkeypatch.setattr(server_jobs, "execute_run", counting)
+        specs = [MICRO_SPEC.with_(seed=200 + i) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        app = create_app(ServerConfig(workers=4, queue_depth=64))
+        try:
+            client = ReproClient(app=app)
+            ids = []
+
+            def submit_all():
+                for spec in specs:
+                    ids.append(client.submit_run(spec)["id"])
+
+            submitters = [threading.Thread(target=submit_all)
+                          for _ in range(4)]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(ids) == 4 * len(specs)
+            for job_id in set(ids):
+                assert client.wait(job_id, timeout=60)["status"] == "done"
+        finally:
+            sys.setswitchinterval(interval)
+            app.close()
+        assert sorted(calls) == sorted(spec.key() for spec in specs)
+        assert app.queue.misses == len(specs) and app.queue.hits == 0
+        assert list(app.queue.work_queue.directory.glob("*/*.tmp")) == []
 
 
 class TestRestartRecovery:
@@ -156,56 +204,19 @@ class TestRestartRecovery:
             app2.close()
 
     def test_interrupted_running_job_requeues(self, tmp_path):
-        store = JobStore()
-        record = JobRecord(id=f"run-{MICRO_SPEC.key()}", kind="run",
-                           payload=MICRO_SPEC.to_dict(), status="running")
-        store.save(record)
+        # A claimed file left behind by a server that died mid-job.
+        job_id = f"run-{MICRO_SPEC.key()}"
+        jobs_queue().put("claimed", job_id, {
+            "kind": "run", "payload": MICRO_SPEC.to_dict(),
+            "submitted_at": time.time(), "started_at": time.time(),
+            "restarts": 0})
         app = create_app(ServerConfig(workers=1))
         try:
             client = ReproClient(app=app)
-            finished = client.wait(record.id, timeout=120)
+            finished = client.wait(job_id, timeout=120)
             assert finished["restarts"] == 1
         finally:
             app.close()
-
-
-class TestJobStore:
-    def test_record_roundtrip(self):
-        store = JobStore()
-        record = JobRecord(id="run-abc", kind="run", payload={"x": 1},
-                           status="done", result={"y": 2})
-        store.save(record)
-        loaded = store.load("run-abc")
-        assert loaded.to_dict() == record.to_dict()
-        assert store.load("run-missing") is None
-
-    def test_corrupt_record_ignored(self, tmp_path):
-        store = JobStore()
-        store.save(JobRecord(id="run-ok", kind="run", payload={}))
-        (store.directory / "run-bad.json").write_text("{truncated")
-        records = store.load_all()
-        assert [r.id for r in records] == ["run-ok"]
-
-    def test_gc(self, tmp_path):
-        store = JobStore()
-        old = JobRecord(id="run-old", kind="run", payload={},
-                        status="done", submitted_at=1.0)
-        fresh = JobRecord(id="run-new", kind="run", payload={},
-                          status="done")
-        running = JobRecord(id="run-live", kind="run", payload={},
-                            status="running", submitted_at=1.0)
-        for record in (old, fresh, running):
-            store.save(record)
-        (store.directory / "run-stray.123.tmp").write_text("junk")
-
-        removed = {p.name for p in store.gc(max_age_days=30)}
-        # Old finished record and the stray tmp go; the fresh record and
-        # the (stale but still 'running') record stay.
-        assert removed == {"run-old.json", "run-stray.123.tmp"}
-        assert {r.id for r in store.load_all()} == {"run-new", "run-live"}
-
-        store.gc(remove_all=True)
-        assert store.load_all() == []
 
 
 class TestResultCacheHardening:
@@ -271,13 +282,13 @@ class TestServerCLI:
         assert args.port == 0
         assert args.workers == 2
         assert args.queue_depth == 16
-        assert args.job_timeout is None
 
     def test_jobs_ls_and_gc(self, capsys):
-        store = JobStore()
-        store.save(JobRecord(id="run-x", kind="run",
-                             payload={"benchmark": "micro.syn"},
-                             status="done", submitted_at=1.0))
+        queue = jobs_queue()
+        job = {"kind": "run", "payload": {"benchmark": "micro.syn"},
+               "submitted_at": 1.0, "started_at": 1.0, "restarts": 0}
+        queue.complete("run-x", {"y": 2}, {}, job=job)
+        os.utime(queue.directory / "done" / "run-x.json", (1.0, 1.0))
         assert main(["jobs", "ls"]) == 0
         out = capsys.readouterr().out
         assert "run-x" in out and "micro.syn" in out
@@ -285,8 +296,10 @@ class TestServerCLI:
         assert main(["jobs", "ls", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["jobs"][0]["id"] == "run-x"
+        assert payload["jobs"][0]["status"] == "done"
 
-        assert main(["jobs", "gc", "--max-age-days", "30"]) == 0
+        # `store gc` ages the server's finished job records out too.
+        assert main(["store", "gc", "--max-age-days", "30"]) == 0
         out = capsys.readouterr().out
         assert "run-x.json" in out
-        assert store.load_all() == []
+        assert list(queue.records()) == []
