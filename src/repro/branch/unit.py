@@ -42,45 +42,96 @@ class BranchUnit:
     # Detailed-mode interface
     # ------------------------------------------------------------------
     def resolve(self, dyn: DynInst) -> BranchOutcome:
-        """Predict the branch, compare to the actual outcome, and train.
+        """Predict the branch, compare to the actual outcome, and train."""
+        op = dyn.op
+        if dyn.is_conditional:
+            kind = 0
+        elif op == Opcode.JAL:
+            kind = 1
+        elif op == Opcode.JR:
+            kind = 2
+        else:
+            kind = 3
+        return BranchOutcome(*self.resolve_at(dyn.pc, kind, dyn.taken,
+                                              dyn.next_pc))
+
+    def resolve_at(self, pc: int, kind: int, taken, target: int
+                   ) -> tuple[bool, int | None, bool]:
+        """:meth:`resolve` for one branch given positionally.
+
+        ``kind`` is 0 = conditional, 1 = JAL, 2 = JR, 3 = JUMP (the
+        trace-compiled engine's encoding); ``taken`` and ``target`` are
+        the resolved outcome (``target`` is the next pc).  Returns
+        ``(predicted_taken, predicted_target, mispredicted)``.
 
         Mirrors SimpleScalar's per-branch flow: direction prediction for
         conditional branches, target prediction through the BTB (or RAS
-        for returns), then training with the resolved outcome.
+        for returns), then training with the resolved outcome.  The
+        combined predictor's predict-and-train of a conditional branch
+        is inlined (tables hoisted into locals) because the detailed
+        timing model calls this once per simulated branch.
         """
-        pc = dyn.pc
-        op = dyn.op
-        actual_taken = dyn.taken
-        actual_target = dyn.next_pc
-
-        if dyn.is_conditional:
-            predicted_taken = self.predictor.predict(pc)
-            predicted_target = self.btb.lookup(pc) if predicted_taken else pc + 1
-            self.predictor.update(pc, actual_taken)
-        elif op == Opcode.JAL:
-            predicted_taken = True
-            predicted_target = self.btb.lookup(pc)
-            self.ras.push(pc + 1)
-        elif op == Opcode.JR:
+        btb = self.btb
+        if kind == 0:
+            predictor = self.predictor
+            bim = predictor.bimodal.table
+            bim_counters = bim.counters
+            bim_index = pc & bim.mask
+            gsh = predictor.gshare
+            gsh_counters = gsh.table.counters
+            gsh_index = (pc ^ gsh.history) & gsh.table.mask
+            meta = predictor.meta
+            taken_at = bim.TAKEN_THRESHOLD
+            max_value = bim.MAX_VALUE
+            bim_pred = bim_counters[bim_index] >= taken_at
+            gsh_pred = gsh_counters[gsh_index] >= taken_at
+            meta_index = pc & meta.mask
+            predicted_taken = (gsh_pred if meta.counters[meta_index] >= taken_at
+                               else bim_pred)
+            predicted_target = btb.lookup(pc) if predicted_taken else pc + 1
+            # CombinedPredictor.update(pc, taken)
+            if bim_pred != gsh_pred:
+                value = meta.counters[meta_index]
+                if gsh_pred == taken:
+                    if value < max_value:
+                        meta.counters[meta_index] = value + 1
+                elif value > 0:
+                    meta.counters[meta_index] = value - 1
+            value = bim_counters[bim_index]
+            if taken:
+                if value < max_value:
+                    bim_counters[bim_index] = value + 1
+            elif value > 0:
+                bim_counters[bim_index] = value - 1
+            value = gsh_counters[gsh_index]
+            if taken:
+                if value < max_value:
+                    gsh_counters[gsh_index] = value + 1
+            elif value > 0:
+                gsh_counters[gsh_index] = value - 1
+            gsh.history = ((gsh.history << 1) | bool(taken)) & gsh.history_mask
+        elif kind == 2:  # JR
             predicted_taken = True
             predicted_target = self.ras.pop()
             if predicted_target is None:
-                predicted_target = self.btb.lookup(pc)
-        else:  # JUMP
+                predicted_target = btb.lookup(pc)
+        else:  # JAL, JUMP
             predicted_taken = True
-            predicted_target = self.btb.lookup(pc)
+            predicted_target = btb.lookup(pc)
+            if kind == 1:
+                self.ras.push(pc + 1)
 
-        if actual_taken:
-            self.btb.update(pc, actual_target)
+        if taken:
+            btb.update(pc, target)
 
-        mispredicted = predicted_taken != actual_taken
-        if not mispredicted and actual_taken:
-            mispredicted = predicted_target != actual_target
+        mispredicted = predicted_taken != bool(taken)
+        if not mispredicted and taken:
+            mispredicted = predicted_target != target
 
         self.branches += 1
         if mispredicted:
             self.mispredictions += 1
-        return BranchOutcome(predicted_taken, predicted_target, mispredicted)
+        return predicted_taken, predicted_target, mispredicted
 
     # ------------------------------------------------------------------
     # Functional-warming interface

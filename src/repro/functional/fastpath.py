@@ -5,9 +5,9 @@ a fixed per-instruction cost — decode-record unpacking, opcode dispatch
 through one large ``if/elif`` chain, bound-method lookups on the
 architectural state, and a :class:`~repro.isa.instruction.DynInst`
 allocation — on every one of the 10^6-10^8 dynamic instructions a SMARTS
-experiment fast-forwards through.  This module removes that cost for the
-dominant consumer, functional warming, by compiling each *basic block*
-of a program into a single specialized Python closure:
+experiment executes.  This module removes that cost for functional
+warming and for detailed simulation by compiling each *basic block* of
+a program into specialized Python closures:
 
 * blocks are discovered once per :class:`~repro.isa.program.Program`
   (leaders = entry, branch targets, fall-throughs) and compiled lazily
@@ -22,7 +22,13 @@ of a program into a single specialized Python closure:
   stream* (instruction-fetch and data addresses, branch outcomes) to
   flat integer lists, which :class:`FastCore` hands in batches to the
   bulk entry points :meth:`repro.memory.hierarchy.MemoryHierarchy.warm_many`
-  and :meth:`repro.branch.unit.BranchUnit.warm_many`.
+  and :meth:`repro.branch.unit.BranchUnit.warm_many`;
+* the trace variant, compiled only when a block first runs in detail,
+  appends just the values the detailed timing model cannot know
+  statically (load/store addresses, conditional-branch outcomes), so
+  :class:`~repro.detailed.pipeline.DetailedSimulator` is fed whole
+  blocks instead of one :class:`~repro.isa.instruction.DynInst` per
+  instruction.
 
 The contract is *bit-identical equivalence*: a :class:`FastCore` run
 leaves exactly the architectural state, warm microarchitectural state,
@@ -135,9 +141,10 @@ def _align(expr: str) -> str:
 
 
 class CompiledBlock:
-    """One compiled basic block: metadata plus the two closures."""
+    """One compiled basic block: metadata plus its closures."""
 
-    __slots__ = ("start", "length", "halts", "run_plain", "run_warm")
+    __slots__ = ("start", "length", "halts", "run_plain", "run_warm",
+                 "run_trace")
 
     def __init__(self, start: int, length: int, halts: bool,
                  run_plain, run_warm) -> None:
@@ -149,19 +156,34 @@ class CompiledBlock:
         #: ``run_warm(ir, fr, mem, ev, ev2) -> next_pc`` — also appends
         #: the block's warming events to ``ev`` (memory) / ``ev2`` (branch).
         self.run_warm = run_warm
+        #: ``run_trace(ir, fr, mem, tr) -> next_pc`` — also appends, in
+        #: program order, each load/store address and each conditional
+        #: branch's taken bit (1/0) to ``tr``: the dynamic values the
+        #: detailed timing model needs.  Compiled on first use by
+        #: :meth:`CompiledProgram.trace_at`, so functional-only runs
+        #: never pay for it.
+        self.run_trace = None
 
 
-def _compile_block(program: Program, start: int,
-                   leaders: frozenset[int]) -> CompiledBlock:
-    """Compile the block beginning at static index ``start``.
+#: Parameter lists of the closure variants.
+_PARAMS = {"plain": "ir, fr, mem", "warm": "ir, fr, mem, ev, ev2",
+           "trace": "ir, fr, mem, tr"}
+
+
+def _generate(program: Program, start: int, leaders: frozenset[int],
+              variants: tuple[str, ...]):
+    """Generate the block beginning at static index ``start``.
 
     The block extends until a control-flow instruction, ``HALT``, the
     next leader, the end of the program, or :data:`MAX_BLOCK_LENGTH`.
+    Returns ``(length, halts, source)``: the function source of each
+    requested closure variant (keys of :data:`_PARAMS`), in one string.
     """
     instructions = program.instructions
     size = len(instructions)
-    arch: list[str] = []        # statements shared by both variants
-    warm_extra: dict[int, list[str]] = {}  # event statements keyed by arch pos
+    arch: list[str] = []        # statements shared by every variant
+    # Variant-specific statements keyed by the arch position they precede.
+    extra: dict[str, dict[int, list[str]]] = {v: {} for v in _PARAMS}
     pending: list[int] = []     # static memory events awaiting a flush
     load_count = 0
 
@@ -169,23 +191,22 @@ def _compile_block(program: Program, start: int,
         if line is not None:
             arch.append(line)
 
-    def emit_event(line: str) -> None:
-        warm_extra.setdefault(len(arch), []).append(line)
+    def emit_event(variant: str, line: str) -> None:
+        extra[variant].setdefault(len(arch), []).append(line)
 
     def flush_statics() -> None:
         if not pending:
             return
         if len(pending) == 1:
-            emit_event(f"ap({pending[0]})")
+            emit_event("warm", f"ap({pending[0]})")
         else:
-            emit_event(f"ev.extend(({', '.join(map(str, pending))}))")
+            emit_event("warm", f"ev.extend(({', '.join(map(str, pending))}))")
         pending.clear()
 
     pc = start
     length = 0
     halts = False
-    terminator_plain: list[str] = []
-    terminator_warm: list[str] = []
+    terminator: dict[str, list[str]] = {}
 
     while pc < size and length < MAX_BLOCK_LENGTH:
         if length and pc in leaders:
@@ -240,7 +261,8 @@ def _compile_block(program: Program, start: int,
             address = base if imm == 0 else f"{base} + {imm}"
             emit(f"a = {_align(address)}")
             flush_statics()
-            emit_event(f"ap(a << 2 | {EVENT_LOAD})")
+            emit_event("warm", f"ap(a << 2 | {EVENT_LOAD})")
+            emit_event("trace", "ap(a)")
             load_count += 1
             if rd is not None:
                 emit(_write(rd, "mg(a, 0)", "raw"))
@@ -249,53 +271,55 @@ def _compile_block(program: Program, start: int,
             address = base if imm == 0 else f"{base} + {imm}"
             emit(f"a = {_align(address)}")
             flush_statics()
-            emit_event(f"ap(a << 2 | {EVENT_STORE})")
+            emit_event("warm", f"ap(a << 2 | {EVENT_STORE})")
+            emit_event("trace", "ap(a)")
             emit(f"mem[a] = {_raw_read(rs2)}")
         elif inst.is_conditional:
             cmp = _COND_OPS[op]
             target = inst.target
             fall = pc + 1
+            condition = f"{_iread(rs1)} {cmp} {_iread(rs2)}"
             flush_statics()
-            terminator_plain = [
-                f"return {target} if {_iread(rs1)} {cmp} {_iread(rs2)} "
-                f"else {fall}",
+            terminator["plain"] = [
+                f"return {target} if {condition} else {fall}",
             ]
-            terminator_warm = [
-                f"if {_iread(rs1)} {cmp} {_iread(rs2)}:",
+            terminator["warm"] = [
+                f"if {condition}:",
                 f"    ev2.extend(({BRANCH_COND}, {pc}, 1, {target}))",
                 f"    return {target}",
                 f"ev2.extend(({BRANCH_COND}, {pc}, 0, {fall}))",
                 f"return {fall}",
             ]
-        elif op is Opcode.JUMP:
-            flush_statics()
-            terminator_plain = [f"return {inst.target}"]
-            terminator_warm = [
-                f"ev2.extend(({BRANCH_JUMP}, {pc}, 1, {inst.target}))",
-                f"return {inst.target}",
+            terminator["trace"] = [
+                f"if {condition}:",
+                "    tr.append(1)",
+                f"    return {target}",
+                "tr.append(0)",
+                f"return {fall}",
             ]
-        elif op is Opcode.JAL:
-            if rd is not None:
+        elif op is Opcode.JUMP or op is Opcode.JAL:
+            if op is Opcode.JAL and rd is not None:
                 emit(_write(rd, str(pc + 1), "int"))
+            kind = BRANCH_JAL if op is Opcode.JAL else BRANCH_JUMP
             flush_statics()
-            terminator_plain = [f"return {inst.target}"]
-            terminator_warm = [
-                f"ev2.extend(({BRANCH_JAL}, {pc}, 1, {inst.target}))",
+            terminator["plain"] = terminator["trace"] = [
+                f"return {inst.target}"]
+            terminator["warm"] = [
+                f"ev2.extend(({kind}, {pc}, 1, {inst.target}))",
                 f"return {inst.target}",
             ]
         elif op is Opcode.JR:
             emit(f"t = {_iread(rs1)}")
             flush_statics()
-            terminator_plain = ["return t"]
-            terminator_warm = [
+            terminator["plain"] = terminator["trace"] = ["return t"]
+            terminator["warm"] = [
                 f"ev2.extend(({BRANCH_JR}, {pc}, 1, t))",
                 "return t",
             ]
         elif op is Opcode.HALT:
             halts = True
             flush_statics()
-            terminator_plain = [f"return {pc + 1}"]
-            terminator_warm = [f"return {pc + 1}"]
+            terminator = dict.fromkeys(_PARAMS, [f"return {pc + 1}"])
         elif op is Opcode.NOP:
             pass
         else:  # pragma: no cover - defensive, mirrors the interpreter
@@ -303,46 +327,47 @@ def _compile_block(program: Program, start: int,
 
         length += 1
         pc += 1
-        if terminator_plain:
+        if terminator:
             break
 
-    if not terminator_plain:
+    if not terminator:
         # Fall through into the instruction after the block (possibly one
         # past the end of the program — the run loop halts there exactly
         # as the interpreter's bounds check does).
         flush_statics()
-        terminator_plain = [f"return {pc}"]
-        terminator_warm = [f"return {pc}"]
+        terminator = dict.fromkeys(_PARAMS, [f"return {pc}"])
 
-    def render(body: list[str], extra: dict[int, list[str]] | None,
-               terminator: list[str], name: str, params: str) -> list[str]:
-        lines = [f"def {name}({params}):"]
-        if extra is not None and any("ap(" in s for stmts in extra.values()
-                                     for s in stmts):
-            lines.append("    ap = ev.append")
+    def render(variant: str) -> str:
+        events = extra[variant]
+        lines = [f"def _{variant}({_PARAMS[variant]}):"]
+        if any("ap(" in s for stmts in events.values() for s in stmts):
+            lines.append(f"    ap = {'ev' if variant == 'warm' else 'tr'}"
+                         ".append")
         if load_count:
             lines.append("    mg = mem.get")
-        for position, statement in enumerate(body):
-            if extra is not None:
-                for event_line in extra.get(position, ()):
-                    lines.append(f"    {event_line}")
+        for position, statement in enumerate(arch):
+            lines.extend(f"    {line}" for line in events.get(position, ()))
             lines.append(f"    {statement}")
-        if extra is not None:
-            for event_line in extra.get(len(body), ()):
-                lines.append(f"    {event_line}")
-        for statement in terminator:
-            lines.append(f"    {statement}")
-        return lines
+        lines.extend(f"    {line}" for line in events.get(len(arch), ()))
+        lines.extend(f"    {line}" for line in terminator[variant])
+        return "\n".join(lines)
 
-    source = "\n".join(
-        render(arch, None, terminator_plain, "_plain", "ir, fr, mem")
-        + [""]
-        + render(arch, warm_extra, terminator_warm, "_warm",
-                 "ir, fr, mem, ev, ev2")
-    )
+    return length, halts, "\n\n".join(map(render, variants))
+
+
+def _exec(program: Program, start: int, source: str) -> dict:
     namespace: dict = {}
     exec(compile(source, f"<fastpath:{program.name}:{start}>", "exec"),
          namespace)
+    return namespace
+
+
+def _compile_block(program: Program, start: int,
+                   leaders: frozenset[int]) -> CompiledBlock:
+    """Compile the plain and warm closures of the block at ``start``."""
+    length, halts, source = _generate(program, start, leaders,
+                                      ("plain", "warm"))
+    namespace = _exec(program, start, source)
     return CompiledBlock(start, length, halts,
                          namespace["_plain"], namespace["_warm"])
 
@@ -355,12 +380,24 @@ class CompiledProgram:
         self.static_size = len(program.instructions)
         self.leaders = frozenset(program.basic_block_leaders())
         self._blocks: dict[int, CompiledBlock] = {}
+        #: The blocks whose ``run_trace`` is compiled, by start pc.
+        self.traced: dict[int, CompiledBlock] = {}
 
     def block_at(self, pc: int) -> CompiledBlock:
         block = self._blocks.get(pc)
         if block is None:
             block = _compile_block(self.program, pc, self.leaders)
             self._blocks[pc] = block
+        return block
+
+    def trace_at(self, pc: int) -> CompiledBlock:
+        """:meth:`block_at`, with the block's ``run_trace`` compiled."""
+        block = self.traced.get(pc)
+        if block is None:
+            block = self.block_at(pc)
+            source = _generate(self.program, pc, self.leaders, ("trace",))[2]
+            block.run_trace = _exec(self.program, pc, source)["_trace"]
+            self.traced[pc] = block
         return block
 
     @property
@@ -388,9 +425,9 @@ def compiled_program(program: Program) -> CompiledProgram:
 class FastCore(FunctionalCore):
     """Drop-in :class:`FunctionalCore` executing block-at-a-time.
 
-    ``step`` (used by the detailed timing model, which needs per-
-    instruction :class:`DynInst` records) is inherited unchanged; the
-    bulk entry points ``run`` and ``run_warmed`` execute compiled blocks
+    ``step`` is inherited unchanged (the interpreter stays the oracle);
+    the bulk entry points ``run`` and ``run_warmed`` and the detailed
+    timing model's feed ``trace_segments`` execute compiled blocks
     whenever the remaining budget covers a whole block and fall back to
     the interpreter for partial-block remainders and foreign callbacks.
 
@@ -498,6 +535,41 @@ class FastCore(FunctionalCore):
             self.fallback_instructions += stepped
             executed += stepped
         return executed
+
+    def trace_segments(self, count, tr):
+        """Whole compiled blocks (``run_trace``) while the budget covers
+        them; a block that would overrun it is stepped instruction by
+        instruction, so at most ``MAX_BLOCK_LENGTH - 1`` instructions of
+        a call take the interpreter path."""
+        state = self.state
+        budget = self._budget(count)
+        executed = 0
+        ir, fr, mem = state.int_regs, state.fp_regs, state.memory
+        traced = self._compiled.traced.get
+        trace_at = self._compiled.trace_at
+        size = self._compiled.static_size
+        while executed < budget and not state.halted:
+            pc = state.pc
+            if pc < 0 or pc >= size:
+                state.halted = True
+                break
+            block = traced(pc) or trace_at(pc)
+            length = block.length
+            if executed + length > budget:
+                break
+            tr.clear()
+            state.pc = next_pc = block.run_trace(ir, fr, mem, tr)
+            executed += length
+            self.instructions_retired += length
+            self.blocks_executed += 1
+            if block.halts:
+                state.halted = True
+            yield pc, length, next_pc
+        if executed < count and not self.halted:
+            for segment in FunctionalCore.trace_segments(
+                    self, count - executed, tr):
+                self.fallback_instructions += 1
+                yield segment
 
     @staticmethod
     def _flush_events(hierarchy, branch_unit, events, branch_events,

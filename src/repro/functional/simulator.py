@@ -1,12 +1,17 @@
 """Functional (architectural-state-only) simulator.
 
 The functional core is the execution oracle of the whole infrastructure:
-both fast-forwarding and detailed simulation consume the dynamic
-instruction stream it produces.  This mirrors SimpleScalar's
-execution-driven structure, where ``sim-outorder`` executes instructions
-functionally and models timing around the resulting stream, and it makes
-mode switches (functional <-> detailed) trivially consistent because
-there is exactly one architectural state.
+fast-forwarding, functional warming and detailed simulation all execute
+through one core and its one architectural state.  The detailed timing
+model consumes the stream as segments
+(:meth:`FunctionalCore.trace_segments`) that carry only each segment's
+dynamic values; the interpreter here yields one instruction per
+segment, and the trace-compiled engine
+(:mod:`repro.functional.fastpath`) whole basic blocks.  This mirrors
+SimpleScalar's execution-driven structure, where ``sim-outorder``
+executes instructions functionally and models timing around the
+resulting stream, and it makes mode switches (functional <-> detailed)
+trivially consistent because there is exactly one architectural state.
 
 Performance notes: the decode table is precomputed per static
 instruction and ``step`` is written as one flat function because SMARTS
@@ -244,6 +249,30 @@ class FunctionalCore:
                 callback(dyn)
                 executed += 1
         return executed
+
+    def trace_segments(self, count: int, tr: list[int]):
+        """Execute up to ``count`` instructions for the detailed timing model.
+
+        Yields one ``(start_pc, length, next_pc)`` segment per executed
+        stretch of straight-line code, after filling ``tr`` (cleared per
+        segment) with the segment's dynamic values in program order: the
+        address of each load and store and the taken bit (1/0) of each
+        conditional branch.  ``next_pc`` is where execution continues,
+        which resolves a closing ``JR``.  The interpreter yields single
+        instructions through :meth:`step`; the trace-compiled engine
+        overrides this with whole compiled blocks.
+        """
+        step = self.step
+        for _ in range(count):
+            dyn = step()
+            if dyn is None:
+                return
+            tr.clear()
+            if dyn.mem_addr is not None:
+                tr.append(dyn.mem_addr)
+            elif dyn.is_conditional:
+                tr.append(1 if dyn.taken else 0)
+            yield dyn.pc, 1, dyn.next_pc
 
     def run_warmed(self, count: int, warmer, written: set | None = None) -> int:
         """Execute up to ``count`` instructions under functional warming.

@@ -37,10 +37,10 @@ class FunctionalWarmer:
 
     def observe(self, dyn: DynInst) -> None:
         """Warm caches, TLBs and branch predictors with one instruction."""
-        hierarchy = self.microarch.hierarchy
-        hierarchy.access_instruction(dyn.pc * INST_SIZE)
+        access = self.microarch.hierarchy.access_code
+        access(dyn.pc * INST_SIZE, 0)
         if dyn.mem_addr is not None:
-            hierarchy.access_data(dyn.mem_addr, dyn.is_store)
+            access(dyn.mem_addr, 2 if dyn.is_store else 1)
         if dyn.is_branch:
             self.microarch.branch_unit.warm(dyn)
         self.instructions_warmed += 1

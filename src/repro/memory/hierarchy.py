@@ -20,6 +20,10 @@ L1 = "l1"
 L2 = "l2"
 MEM = "mem"
 
+#: Service levels, indexed by the level field of
+#: :meth:`MemoryHierarchy.access_code`.
+LEVELS = (L1, L2, MEM)
+
 
 @dataclass
 class AccessResult:
@@ -52,23 +56,36 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
+    def access_code(self, address: int, kind: int) -> int:
+        """One access, as an int: ``level << 1 | tlb_miss``.
+
+        ``kind`` is 0 = instruction fetch (I-TLB, L1I, then L2 on miss),
+        1 = load, 2 = store (D-TLB, L1D, then L2); ``level`` is 0 = L1,
+        1 = L2, 2 = memory (the index into :data:`LEVELS`).  This is the
+        one implementation behind :meth:`access_instruction` and
+        :meth:`access_data`; the detailed timing model calls it directly
+        so a hit costs no :class:`AccessResult`.
+        """
+        if kind == 0:
+            code = 0 if self.itlb.access(address) else 1
+            if self.l1i.access(address):
+                return code
+            return code | (2 if self.l2.access(address) else 4)
+        is_write = kind == 2
+        code = 0 if self.dtlb.access(address) else 1
+        if self.l1d.access(address, is_write):
+            return code
+        return code | (2 if self.l2.access(address, is_write) else 4)
+
     def access_instruction(self, address: int) -> AccessResult:
         """Fetch access: I-TLB, L1I, then L2 on miss."""
-        tlb_miss = not self.itlb.access(address)
-        if self.l1i.access(address):
-            return AccessResult(L1, tlb_miss)
-        if self.l2.access(address):
-            return AccessResult(L2, tlb_miss)
-        return AccessResult(MEM, tlb_miss)
+        code = self.access_code(address, 0)
+        return AccessResult(LEVELS[code >> 1], bool(code & 1))
 
     def access_data(self, address: int, is_write: bool = False) -> AccessResult:
         """Load/store access: D-TLB, L1D, then L2 on miss."""
-        tlb_miss = not self.dtlb.access(address)
-        if self.l1d.access(address, is_write):
-            return AccessResult(L1, tlb_miss)
-        if self.l2.access(address, is_write):
-            return AccessResult(L2, tlb_miss)
-        return AccessResult(MEM, tlb_miss)
+        code = self.access_code(address, 2 if is_write else 1)
+        return AccessResult(LEVELS[code >> 1], bool(code & 1))
 
     # ------------------------------------------------------------------
     # Bulk functional warming
@@ -259,16 +276,16 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def latency(self, result: AccessResult) -> int:
         """Cycles to service an access with the given outcome."""
+        return self.latencies()[LEVELS.index(result.level) << 1
+                                | bool(result.tlb_miss)]
+
+    def latencies(self) -> tuple[int, ...]:
+        """Service cycles indexed by an :meth:`access_code` result."""
         config = self.config
-        if result.level == L1:
-            cycles = config.l1_latency
-        elif result.level == L2:
-            cycles = config.l2_latency
-        else:
-            cycles = config.mem_latency
-        if result.tlb_miss:
-            cycles += config.tlb_miss_latency
-        return cycles
+        return tuple(level + tlb
+                     for level in (config.l1_latency, config.l2_latency,
+                                   config.mem_latency)
+                     for tlb in (0, config.tlb_miss_latency))
 
     # ------------------------------------------------------------------
     # State management

@@ -3,19 +3,22 @@
 These tests check the *timing behaviour* the SMARTS experiments rely on:
 dependences and long latencies slow execution down, cache misses and
 branch mispredictions cost cycles, wide independent code approaches the
-machine width, and counters stay consistent.
+machine width, and counters stay consistent.  Cores come from the
+active ``REPRO_ENGINE``, so the default run drives the model with
+compiled blocks and the interpreter cross-check drives it one
+instruction at a time.
 """
 
 import pytest
 
 from repro.detailed import DetailedSimulator, MicroarchState
-from repro.functional import FunctionalCore
+from repro.functional.engine import create_core
 from repro.isa import ProgramBuilder
 
 
 def simulate(builder: ProgramBuilder, machine, count=None):
     program = builder.build()
-    core = FunctionalCore(program)
+    core = create_core(program)
     microarch = MicroarchState(machine)
     sim = DetailedSimulator(machine, microarch)
     counters = sim.simulate(core, count)
@@ -36,7 +39,7 @@ def loop_program(body_emitter, iterations=200, name="loop"):
 
 class TestBasicTiming:
     def test_counters_consistency(self, machine_8way, micro):
-        core = FunctionalCore(micro.program)
+        core = create_core(micro.program)
         sim = DetailedSimulator(machine_8way, MicroarchState(machine_8way))
         counters = sim.simulate(core)
         assert counters.instructions > 0
@@ -209,10 +212,10 @@ class TestBranchTiming:
 
 class TestWidthScaling:
     def test_16way_is_not_slower_than_8way(self, machine_8way, machine_16way, micro):
-        core8 = FunctionalCore(micro.program)
+        core8 = create_core(micro.program)
         cpi8 = DetailedSimulator(machine_8way, MicroarchState(machine_8way)) \
             .simulate(core8).cpi
-        core16 = FunctionalCore(micro.program)
+        core16 = create_core(micro.program)
         cpi16 = DetailedSimulator(machine_16way, MicroarchState(machine_16way)) \
             .simulate(core16).cpi
         # The 16-way machine has double the width, window and caches; it
@@ -223,7 +226,7 @@ class TestWidthScaling:
 
 class TestPeriodManagement:
     def test_begin_period_resets_pipeline_clock(self, machine_8way, micro):
-        core = FunctionalCore(micro.program)
+        core = create_core(micro.program)
         microarch = MicroarchState(machine_8way)
         sim = DetailedSimulator(machine_8way, microarch)
         sim.begin_period()
@@ -233,7 +236,7 @@ class TestPeriodManagement:
         assert sim.current_cycle == 0
 
     def test_consecutive_runs_accumulate_within_period(self, machine_8way, micro):
-        core = FunctionalCore(micro.program)
+        core = create_core(micro.program)
         microarch = MicroarchState(machine_8way)
         sim = DetailedSimulator(machine_8way, microarch)
         sim.begin_period()
@@ -242,7 +245,7 @@ class TestPeriodManagement:
         assert sim.current_cycle == a.cycles + b.cycles
 
     def test_run_stops_at_program_end(self, machine_8way, micro):
-        core = FunctionalCore(micro.program)
+        core = create_core(micro.program)
         sim = DetailedSimulator(machine_8way, MicroarchState(machine_8way))
         counters = sim.simulate(core, count=10_000_000)
         assert counters.instructions < 10_000_000
@@ -251,7 +254,7 @@ class TestPeriodManagement:
     def test_determinism(self, machine_8way, micro):
         results = []
         for _ in range(2):
-            core = FunctionalCore(micro.program)
+            core = create_core(micro.program)
             sim = DetailedSimulator(machine_8way, MicroarchState(machine_8way))
             results.append(sim.simulate(core).as_dict())
         assert results[0] == results[1]

@@ -24,6 +24,7 @@ of instructions through compiled blocks.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from repro.api import RunSpec, StratifiedStrategy, SystematicStrategy, run_spec
 from repro.branch.unit import BranchUnit
 from repro.checkpoint import build_checkpoints
 from repro.config.machines import BranchConfig
+from repro.detailed.pipeline import DetailedSimulator
 from repro.detailed.state import MicroarchState
 from repro.functional.engine import (
     DEFAULT_ENGINE,
@@ -47,10 +49,11 @@ from repro.functional.fastpath import (
     EVENT_IFETCH,
     EVENT_LOAD,
     EVENT_STORE,
+    MAX_BLOCK_LENGTH,
     FastCore,
     compiled_program,
 )
-from repro.functional.simulator import FunctionalCore
+from repro.functional.simulator import FunctionalCore, measure_program_length
 from repro.functional.warming import FunctionalWarmer
 from repro.harness.bias import measure_bias
 from repro.isa.instruction import DynInst
@@ -362,3 +365,42 @@ class TestDispatchCounts:
             executed += core.run(75)  # detailed window stand-in
         assert executed > 10_000
         assert core.fallback_instructions / executed < 0.35
+
+
+class TestDetailedDispatchCounts:
+    """The detailed timing model is fed by compiled blocks (``run_trace``)
+    and steps only the remainder of a block a call's budget cuts."""
+
+    def test_dense_detailed_runs_retire_through_blocks(self, machine_8way):
+        # The ``dense`` benchmark shape: one detailed-warming window, then
+        # back-to-back 50-instruction units to the end of the stream.
+        program = small_program("gcc.syn")
+        core = FastCore(program)
+        sim = DetailedSimulator(machine_8way, MicroarchState(machine_8way))
+        calls = instructions = 0
+        for count in itertools.chain([2_000], itertools.repeat(50)):
+            executed = sim.run(core, count).instructions
+            calls += 1
+            instructions += executed
+            if executed < count:
+                break
+        assert instructions > 10_000
+        stepped = core.fallback_instructions
+        assert (instructions - stepped) / instructions >= 0.95
+        assert stepped <= (MAX_BLOCK_LENGTH - 1) * calls
+
+    def test_functional_paths_compile_no_trace_closures(self, monkeypatch,
+                                                        machine_8way):
+        """Set-up (``measure_program_length``) and warming never pay for
+        the detailed variant of a block."""
+        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
+        program = small_program("gcc.syn")
+        measure_program_length(program)
+        FastCore(program).run_warmed(
+            1 << 60, FunctionalWarmer(MicroarchState(machine_8way)))
+        compiled = compiled_program(program)
+        assert compiled.compiled_blocks > 0
+        assert compiled.traced == {}
+        DetailedSimulator(machine_8way, MicroarchState(machine_8way)).run(
+            FastCore(program), 100)
+        assert compiled.traced
