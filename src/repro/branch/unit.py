@@ -86,8 +86,8 @@ class BranchUnit:
             bim_pred = bim_counters[bim_index] >= taken_at
             gsh_pred = gsh_counters[gsh_index] >= taken_at
             meta_index = pc & meta.mask
-            predicted_taken = (gsh_pred if meta.counters[meta_index] >= taken_at
-                               else bim_pred)
+            use_gshare = meta.counters[meta_index] >= taken_at
+            predicted_taken = gsh_pred if use_gshare else bim_pred
             predicted_target = btb.lookup(pc) if predicted_taken else pc + 1
             # CombinedPredictor.update(pc, taken)
             if bim_pred != gsh_pred:

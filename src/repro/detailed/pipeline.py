@@ -86,8 +86,9 @@ def _decode_table(program: Program, config: MachineConfig) -> tuple:
     for :data:`_UNPIPELINED` opcodes); absent source registers read the
     always-zero slot ``NUM_REGS`` and an absent destination writes the
     never-read slot ``NUM_REGS + 1`` of the scoreboard; ``branch_kind``
-    is -1 for non-branches.  Returns ``(rows, statics)`` where ``statics[pc]`` is
-    the instruction's contribution to :data:`_STATIC_FIELDS`, packed.
+    is -1 for non-branches.  Returns ``(rows, statics)`` where
+    ``statics[pc]`` is the instruction's packed contribution to
+    :data:`_STATIC_FIELDS`.
     """
     num_regs = NUM_INT_REGS + NUM_FP_REGS
     block_bytes = config.l1i.block_bytes
@@ -276,7 +277,8 @@ class DetailedSimulator:
                 # ------------------------------------------------------
                 # Fetch
                 # ------------------------------------------------------
-                fetch_cycle = next_fetch if next_fetch >= redirect else redirect
+                fetch_cycle = (next_fetch if next_fetch >= redirect
+                               else redirect)
                 if fetch_cycle == bw_cycle:
                     if bw_count >= fetch_width:
                         fetch_cycle += 1
@@ -331,15 +333,16 @@ class DetailedSimulator:
                     ready_cycle = src_ready
                 pool = pools[pool_index]
                 unit_free = pool[0]
-                issue_cycle = ready_cycle if ready_cycle >= unit_free else unit_free
+                issue_cycle = (ready_cycle if ready_cycle >= unit_free
+                               else unit_free)
 
                 # ------------------------------------------------------
                 # Execute
                 # ------------------------------------------------------
-                if mem == 1:
+                if mem:
                     address = tr[k]
                     k += 1
-                    code = access(address, 1)
+                    code = access(address, mem)
                     if code:
                         if code & 1:
                             dtlb_misses += 1
@@ -348,8 +351,11 @@ class DetailedSimulator:
                             l2_accesses += 1
                             if code > 3:
                                 l2_misses += 1
-                    forward_ready = pending_get(address)
-                    if forward_ready is not None and forward_ready > issue_cycle:
+                    if mem == 2:
+                        if written is not None:
+                            written.add(address)
+                        complete_cycle = issue_cycle + 1
+                    elif pending_get(address, -1) > issue_cycle:
                         store_forwards += 1
                         complete_cycle = issue_cycle + latencies[code & 1]
                     elif code < 2:
@@ -359,21 +365,6 @@ class DetailedSimulator:
                             address // l1d_block, issue_cycle, latencies[code])
                         if stall:
                             mshr_stalls += 1
-                elif mem:
-                    address = tr[k]
-                    k += 1
-                    if written is not None:
-                        written.add(address)
-                    code = access(address, 2)
-                    if code:
-                        if code & 1:
-                            dtlb_misses += 1
-                        if code > 1:
-                            l1d_misses += 1
-                            l2_accesses += 1
-                            if code > 3:
-                                l2_misses += 1
-                    complete_cycle = issue_cycle + 1
                 else:
                     complete_cycle = issue_cycle + latency
 
