@@ -38,6 +38,12 @@ from heapq import heapreplace
 from repro.config.machines import MachineConfig
 from repro.detailed.counters import PipelineCounters
 from repro.detailed.state import MicroarchState
+from repro.functional.fastpath import (
+    BRANCH_COND,
+    BRANCH_JAL,
+    BRANCH_JR,
+    BRANCH_JUMP,
+)
 from repro.functional.simulator import INST_SIZE, FunctionalCore
 from repro.isa.instruction import NUM_FP_REGS, NUM_INT_REGS
 from repro.isa.opcodes import OpClass, Opcode
@@ -58,9 +64,11 @@ _UNPIPELINED = frozenset({Opcode.DIV, Opcode.MOD, Opcode.FDIV, Opcode.FSQRT})
 _POOL_CLASSES = (OpClass.IALU, OpClass.IMULT, OpClass.FPALU, OpClass.FPMULT)
 _MEM_POOL = len(_POOL_CLASSES)
 
-#: Branch kinds, shared with the trace-compiled engine's branch events
-#: and :meth:`repro.branch.unit.BranchUnit.resolve_at`.
-_BRANCH_KINDS = {Opcode.JAL: 1, Opcode.JR: 2, Opcode.JUMP: 3}
+#: Branch kinds of :meth:`repro.branch.unit.BranchUnit.resolve_at` (the
+#: trace-compiled engine's branch-event encoding); ``run`` tests them as
+#: literals (0 = conditional, 2 = JR) to keep global lookups out of the loop.
+_BRANCH_KINDS = {Opcode.JAL: BRANCH_JAL, Opcode.JR: BRANCH_JR,
+                 Opcode.JUMP: BRANCH_JUMP}
 
 #: The counters fixed by an instruction's static fields.  ``run`` adds
 #: them once per executed segment, packed into one int of
@@ -107,7 +115,7 @@ def _decode_table(program: Program, config: MachineConfig) -> tuple:
         if not inst.is_branch:
             kind = -1
         elif inst.is_conditional:
-            kind = 0
+            kind = BRANCH_COND
         else:
             kind = _BRANCH_KINDS[inst.op]
         fetch_addr = pc * INST_SIZE

@@ -215,9 +215,15 @@ def test_corpus_covers_every_cell(golden):
     assert sorted(golden) == sorted(_cell_id(c) for c in _cells())
 
 
+def _write_corpus(corpus: dict) -> None:
+    """One cell per line, so a re-recording diffs cell by cell."""
+    lines = [f"{json.dumps(cell)}: {json.dumps(corpus[cell], sort_keys=True)}"
+             for cell in sorted(corpus)]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 if __name__ == "__main__":
-    corpus = {_cell_id(cell): _summarize(_run_cell(*cell, engine="interp"))
-              for cell in _cells()}
-    GOLDEN_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True)
-                           + "\n")
-    print(f"wrote {len(corpus)} cells to {GOLDEN_PATH}")
+    _write_corpus({_cell_id(cell): _summarize(_run_cell(*cell,
+                                                        engine="interp"))
+                   for cell in _cells()})
+    print(f"wrote {len(_cells())} cells to {GOLDEN_PATH}")
