@@ -18,6 +18,14 @@ from repro.isa.instruction import DynInst
 from repro.isa.opcodes import Opcode
 
 
+def branch_kind(op: Opcode, is_conditional: bool) -> int:
+    """The kind code :meth:`BranchUnit.resolve_at` takes: 0 = conditional,
+    1 = JAL, 2 = JR, 3 = JUMP (the trace-compiled engine's encoding)."""
+    if is_conditional:
+        return 0
+    return 1 if op == Opcode.JAL else 2 if op == Opcode.JR else 3
+
+
 @dataclass
 class BranchOutcome:
     """Result of consulting the branch unit for one dynamic branch."""
@@ -43,15 +51,7 @@ class BranchUnit:
     # ------------------------------------------------------------------
     def resolve(self, dyn: DynInst) -> BranchOutcome:
         """Predict the branch, compare to the actual outcome, and train."""
-        op = dyn.op
-        if dyn.is_conditional:
-            kind = 0
-        elif op == Opcode.JAL:
-            kind = 1
-        elif op == Opcode.JR:
-            kind = 2
-        else:
-            kind = 3
+        kind = branch_kind(dyn.op, dyn.is_conditional)
         return BranchOutcome(*self.resolve_at(dyn.pc, kind, dyn.taken,
                                               dyn.next_pc))
 
@@ -59,10 +59,9 @@ class BranchUnit:
                    ) -> tuple[bool, int | None, bool]:
         """:meth:`resolve` for one branch given positionally.
 
-        ``kind`` is 0 = conditional, 1 = JAL, 2 = JR, 3 = JUMP (the
-        trace-compiled engine's encoding); ``taken`` and ``target`` are
-        the resolved outcome (``target`` is the next pc).  Returns
-        ``(predicted_taken, predicted_target, mispredicted)``.
+        ``kind`` is the :func:`branch_kind` code; ``taken`` and
+        ``target`` are the resolved outcome (``target`` is the next pc).
+        Returns ``(predicted_taken, predicted_target, mispredicted)``.
 
         Mirrors SimpleScalar's per-branch flow: direction prediction for
         conditional branches, target prediction through the BTB (or RAS

@@ -35,15 +35,10 @@ from __future__ import annotations
 from collections import deque
 from heapq import heapreplace
 
+from repro.branch.unit import branch_kind
 from repro.config.machines import MachineConfig
 from repro.detailed.counters import PipelineCounters
 from repro.detailed.state import MicroarchState
-from repro.functional.fastpath import (
-    BRANCH_COND,
-    BRANCH_JAL,
-    BRANCH_JR,
-    BRANCH_JUMP,
-)
 from repro.functional.simulator import INST_SIZE, FunctionalCore
 from repro.isa.instruction import NUM_FP_REGS, NUM_INT_REGS
 from repro.isa.opcodes import OpClass, Opcode
@@ -63,12 +58,6 @@ _UNPIPELINED = frozenset({Opcode.DIV, Opcode.MOD, Opcode.FDIV, Opcode.FSQRT})
 #: and NOPs on the integer ALUs.
 _POOL_CLASSES = (OpClass.IALU, OpClass.IMULT, OpClass.FPALU, OpClass.FPMULT)
 _MEM_POOL = len(_POOL_CLASSES)
-
-#: Branch kinds of :meth:`repro.branch.unit.BranchUnit.resolve_at` (the
-#: trace-compiled engine's branch-event encoding); ``run`` tests them as
-#: literals (0 = conditional, 2 = JR) to keep global lookups out of the loop.
-_BRANCH_KINDS = {Opcode.JAL: BRANCH_JAL, Opcode.JR: BRANCH_JR,
-                 Opcode.JUMP: BRANCH_JUMP}
 
 #: The counters fixed by an instruction's static fields.  ``run`` adds
 #: them once per executed segment, packed into one int of
@@ -94,7 +83,8 @@ def _decode_table(program: Program, config: MachineConfig) -> tuple:
     for :data:`_UNPIPELINED` opcodes); absent source registers read the
     always-zero slot ``NUM_REGS`` and an absent destination writes the
     never-read slot ``NUM_REGS + 1`` of the scoreboard; ``branch_kind``
-    is -1 for non-branches.  Returns ``(rows, statics)`` where
+    is :func:`~repro.branch.unit.branch_kind`'s code (0 = conditional,
+    2 = JR, tested as literals in ``run``) or -1 for non-branches.  Returns ``(rows, statics)`` where
     ``statics[pc]`` is the instruction's packed contribution to
     :data:`_STATIC_FIELDS`.
     """
@@ -112,12 +102,8 @@ def _decode_table(program: Program, config: MachineConfig) -> tuple:
         else:
             pool = _POOL_CLASSES.index(opclass)
         srcs = inst.source_regs() + (num_regs, num_regs)
-        if not inst.is_branch:
-            kind = -1
-        elif inst.is_conditional:
-            kind = BRANCH_COND
-        else:
-            kind = _BRANCH_KINDS[inst.op]
+        kind = (branch_kind(inst.op, inst.is_conditional) if inst.is_branch
+                else -1)
         fetch_addr = pc * INST_SIZE
         latency = config.exec_latency(inst.op, opclass)
         rows.append((
