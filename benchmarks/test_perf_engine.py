@@ -194,5 +194,5 @@ def test_perf_engine_throughput(benchmark, ctx):
     for name, detail in data["details"].items():
         assert detail["speedup"] >= 2.0, name
     # Block-fed detailed simulation must stay clearly ahead of step-fed
-    # (measured ~2.2x on gcc/mcf/ammp; gated well below that).
+    # (measured ~2x on gcc/mcf/ammp; gated well below that).
     assert data["detailed"]["geomean_speedup"] >= 1.5
