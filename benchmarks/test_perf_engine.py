@@ -16,11 +16,15 @@ behaviourally diverse subset of the suite and records the rates into
 
 * functional warming — cold caches and predictors, full event stream,
   interpreter vs fastpath engine, asserting the fastpath's >= 3x
-  speedup (the acceptance criterion of the engine work);
+  speedup (the acceptance criterion of the engine work); measured on a
+  2-vCPU x86 container at ~0.2M instr/s interpreted vs 1.0-1.5M
+  instr/s fastpath (geomean 5.6x; 4.2x before ``warm_many`` replayed
+  one fetch per I-cache line instead of one per instruction);
 * detailed simulation — ``DetailedSimulator.run`` in the ``dense``
   shape (one 2000-instruction warming call, then back-to-back
   50-instruction units), step-fed (interpreter core) vs block-fed
-  (fastpath core), with identical counters asserted.
+  (fastpath core), with identical counters asserted (measured 1.9x
+  geomean on the same host).
 
 Ratios are measured inside one process on one core, so they are
 meaningful on the single-core CI box; the *absolute* rates are

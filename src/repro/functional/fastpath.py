@@ -41,7 +41,8 @@ cache state, so branch events batch separately without reordering risk.
 Event encodings (shared with the ``warm_many`` implementations):
 
 * memory events — one int per access, ``address << 2 | kind`` with kind
-  0 = instruction fetch, 1 = load, 2 = store;
+  0 = instruction fetch, 1 = load, 2 = store; fetches stay one event per
+  instruction, and ``MemoryHierarchy.warm_many`` collapses repeats of a line;
 * branch events — four ints per branch, ``(kind, pc, taken, target)``
   with kind 0 = conditional, 1 = JAL, 2 = JR, 3 = JUMP.
 """

@@ -9,6 +9,7 @@ fast-forwarding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.config.machines import MachineConfig
@@ -106,20 +107,19 @@ class MemoryHierarchy:
 
         Event order is preserved, which matters: the instruction and
         data paths share L2, so their relative miss order is visible in
-        its LRU state.
+        its LRU state.  The inlined miss paths assume write-allocate
+        caches, the only kind ``__init__`` builds.
+
+        A fetch of the same line as the previous fetch *in this call* only
+        counts an I-TLB and an L1I access: data events never touch the
+        I-TLB or L1I, and an L1I hit never reaches L2, so that line and
+        its page are still MRU in their sets.  Keying on ``address //
+        gcd(line, page)`` keeps this exact for a page smaller than a
+        line.  The state is per call, because a detailed run, a restore
+        or a flush may touch L1I between calls.
         """
         itlb, dtlb = self.itlb, self.dtlb
         l1i, l1d, l2 = self.l1i, self.l1d, self.l2
-        if not (l1i.write_allocate and l1d.write_allocate
-                and l2.write_allocate):  # pragma: no cover - not built today
-            for event in events:
-                kind = event & 3
-                if kind == 0:
-                    self.access_instruction(event >> 2)
-                else:
-                    self.access_data(event >> 2, kind == 2)
-            return
-
         itlb_sets = itlb._sets
         itlb_nsets, itlb_page, itlb_assoc = (itlb.num_sets, itlb.page_bytes,
                                              itlb.assoc)
@@ -135,20 +135,27 @@ class MemoryHierarchy:
         l2_sets = l2._sets
         l2_nsets, l2_block, l2_assoc = l2.num_sets, l2.block_bytes, l2.assoc
 
-        itlb_acc = itlb_miss = dtlb_acc = dtlb_miss = 0
-        l1i_acc = l1i_miss = l1i_evict = l1i_wb = 0
+        # event // fetch_unit == address // gcd(line, page) for a fetch.
+        fetch_unit = math.gcd(l1i_block, itlb_page) << 2
+        last_line = -1
+        fetches = itlb_miss = dtlb_acc = dtlb_miss = 0
+        l1i_miss = l1i_evict = l1i_wb = 0
         l1d_acc = l1d_miss = l1d_evict = l1d_wb = 0
         l2_acc = l2_miss = l2_evict = l2_wb = 0
 
         for event in events:
             kind = event & 3
-            address = event >> 2
             if kind == 0:
+                fetches += 1
+                line = event // fetch_unit
+                if line == last_line:
+                    continue
+                last_line = line
+                address = event >> 2
                 # I-TLB
                 vpn = address // itlb_page
                 tlb_set = itlb_sets[vpn % itlb_nsets]
                 tag = vpn // itlb_nsets
-                itlb_acc += 1
                 if tag in tlb_set:
                     if tlb_set[-1] != tag:
                         tlb_set.remove(tag)
@@ -162,7 +169,6 @@ class MemoryHierarchy:
                 block = address // l1i_block
                 cache_set = l1i_sets[block % l1i_nsets]
                 tag = block // l1i_nsets
-                l1i_acc += 1
                 for i, entry in enumerate(cache_set):
                     if entry[0] == tag:
                         if i != len(cache_set) - 1:
@@ -195,6 +201,7 @@ class MemoryHierarchy:
                                 l2_wb += 1
                         cache_set.append([tag, False])
             else:
+                address = event >> 2
                 is_write = kind == 2
                 # D-TLB
                 vpn = address // dtlb_page
@@ -251,12 +258,12 @@ class MemoryHierarchy:
                                 l2_wb += 1
                         cache_set.append([tag, is_write])
 
-        itlb.stats.accesses += itlb_acc
+        itlb.stats.accesses += fetches
         itlb.stats.misses += itlb_miss
         dtlb.stats.accesses += dtlb_acc
         dtlb.stats.misses += dtlb_miss
         stats = l1i.stats
-        stats.accesses += l1i_acc
+        stats.accesses += fetches
         stats.misses += l1i_miss
         stats.evictions += l1i_evict
         stats.writebacks += l1i_wb

@@ -24,6 +24,7 @@ of instructions through compiled blocks.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -32,7 +33,14 @@ import pytest
 from repro.api import RunSpec, StratifiedStrategy, SystematicStrategy, run_spec
 from repro.branch.unit import BranchUnit
 from repro.checkpoint import build_checkpoints
-from repro.config.machines import BranchConfig
+from repro.config.machines import (
+    CONFIGURATIONS,
+    BranchConfig,
+    CacheConfig,
+    TLBConfig,
+    get_config,
+    scaled_8way,
+)
 from repro.detailed.pipeline import DetailedSimulator
 from repro.detailed.state import MicroarchState
 from repro.functional.engine import (
@@ -53,7 +61,11 @@ from repro.functional.fastpath import (
     FastCore,
     compiled_program,
 )
-from repro.functional.simulator import FunctionalCore, measure_program_length
+from repro.functional.simulator import (
+    INST_SIZE,
+    FunctionalCore,
+    measure_program_length,
+)
 from repro.functional.warming import FunctionalWarmer
 from repro.harness.bias import measure_bias
 from repro.isa.instruction import DynInst
@@ -117,7 +129,93 @@ class TestEngineSelection:
 # ----------------------------------------------------------------------
 # Bulk warmers against their per-access specifications
 # ----------------------------------------------------------------------
+def _geometry(name: str):
+    """A registered machine, or a hand-built one whose I-TLB page is
+    smaller than (or does not divide) its L1I line."""
+    if name in CONFIGURATIONS:
+        return get_config(name)
+    page, line = {"page16-line64": (16, 64), "page48-line32": (48, 32)}[name]
+    return dataclasses.replace(
+        scaled_8way(), name=name,
+        l1i=CacheConfig(1024, 2, block_bytes=line),
+        itlb=TLBConfig(8, 2, page_bytes=page))
+
+
+def _sequential_stream(hierarchy, rng, length):
+    """Program-like memory events: fetch runs that cross line and page
+    boundaries and jump back, to page ends and to conflicting lines, with
+    loads and stores between fetches of one line.  The data addresses
+    thrash one L2 set (and so one L1D set), so stores dirty L2 lines
+    that are later written back."""
+    l1i, l2 = hierarchy.l1i, hierarchy.l2
+    code_conflict = l1i.num_sets * l1i.block_bytes
+    data_conflict = l2.num_sets * l2.block_bytes
+    page = hierarchy.itlb.page_bytes
+    events, pc = [], 0
+    while len(events) < length:
+        for _ in range(rng.randrange(1, 48)):
+            events.append(pc << 2 | EVENT_IFETCH)
+            if rng.random() < 0.3:
+                way = rng.randrange(l2.assoc + 2)
+                address = (1 << 24) + way * data_conflict + rng.randrange(
+                    0, 256, 8)
+                events.append(address << 2 | rng.choice((EVENT_LOAD,
+                                                         EVENT_STORE)))
+            pc += INST_SIZE
+        jump = rng.random()
+        if jump < 0.3:
+            pc = max(0, pc - rng.randrange(0, 64, INST_SIZE))
+        elif jump < 0.6:
+            pc = (pc // page + 1) * page - rng.randrange(INST_SIZE, 40,
+                                                         INST_SIZE)
+        elif jump < 0.8:
+            pc = (rng.randrange(l1i.assoc + 2) * code_conflict
+                  + rng.randrange(0, 256, INST_SIZE))
+        else:
+            pc = rng.randrange(0, 1 << 16, INST_SIZE)
+    return events
+
+
 class TestWarmManyEquivalence:
+    @pytest.mark.parametrize(
+        "geometry", [*CONFIGURATIONS, "page16-line64", "page48-line32"])
+    def test_sequential_stream_matches_per_access(self, geometry):
+        """Line-repeating fetch streams, split over several calls with
+        per-access traffic between them, drive both paths identically."""
+        config = _geometry(geometry)
+        reference, bulk = MemoryHierarchy(config), MemoryHierarchy(config)
+        rng = random.Random(geometry)
+        events = _sequential_stream(reference, rng, 6000)
+        code_conflict = reference.l1i.num_sets * reference.l1i.block_bytes
+        start = 0
+        while start < len(events):
+            chunk = events[start:start + rng.randrange(1, 1500)]
+            start += len(chunk)
+            for event in chunk:
+                if event & 3 == EVENT_IFETCH:
+                    reference.access_instruction(event >> 2)
+                else:
+                    reference.access_data(event >> 2,
+                                          event & 3 == EVENT_STORE)
+            bulk.warm_many(chunk)
+            # Evict the last fetched line between calls, so a call that
+            # starts on that line must not treat it as a repeat.
+            fetches = [e >> 2 for e in chunk if e & 3 == EVENT_IFETCH]
+            if fetches and start < len(events):
+                for way in range(1, reference.l1i.assoc + 1):
+                    for hierarchy in (reference, bulk):
+                        hierarchy.access_code(
+                            fetches[-1] + way * code_conflict, 0)
+                        hierarchy.access_code(fetches[-1] + (1 << 24), 2)
+                events.insert(start, fetches[-1] << 2 | EVENT_IFETCH)
+        assert bulk.snapshot_state() == reference.snapshot_state()
+        for name in ("itlb", "dtlb", "l1i", "l1d", "l2"):
+            assert (vars(getattr(bulk, name).stats)
+                    == vars(getattr(reference, name).stats)), name
+        # The stream exercised what it is meant to.
+        assert reference.l1i.stats.evictions and reference.itlb.stats.misses
+        assert reference.l2.stats.writebacks
+
     def test_hierarchy_warm_many_matches_per_access(self, machine_8way):
         """A random interleaved I/D stream drives both paths identically."""
         rng = random.Random(7)
