@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.checkpoint import CheckpointStore
 from repro.config.machines import MachineConfig, get_config, scaled_16way, scaled_8way
-from repro.functional.simulator import measure_program_length
 from repro.isa.program import Program
 from repro.store import ArtifactStore, register_artifact_kind
 from repro.workloads.suite import get_benchmark, micro_benchmark
@@ -92,7 +91,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
             # The checkpoint build pass already measured the program.
             length = checkpoints.benchmark_length
         else:
-            length = measure_program_length(program)
+            length = CheckpointStore().get_or_measure(program)
     outcome = spec.strategy.run(
         program, machine, length,
         metric=spec.metric,

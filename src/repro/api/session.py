@@ -42,15 +42,16 @@ class Session:
             ``REPRO_ARTIFACT_DIR`` or ``.artifacts/``).
         use_cache: Disable to bypass the *run-result* cache — every run
             is recomputed and no result is read from or written to
-            disk.  (The checkpoint store is separate: specs with
-            ``checkpoints="auto"`` still use it, and stratified runs
-            opportunistically cache their BBV profile there —
-            degrading to in-memory profiling when the store directory
-            is unwritable, and disabled per strategy with
+            disk.  (The checkpoint store is separate and still used:
+            by specs with ``checkpoints="auto"``, for the program length
+            of specs without a ``benchmark_length``, and for the BBV
+            profile of stratified runs unless disabled per strategy with
             ``StratifiedStrategy(profile_cache=False)`` — a
             process-local flag that does not reach parallel pool
-            workers.  Point ``REPRO_ARTIFACT_DIR`` elsewhere for
-            isolation that covers every execution mode.)
+            workers.  Lengths and profiles are computed in memory when
+            the store directory is unwritable.  Point
+            ``REPRO_ARTIFACT_DIR`` elsewhere for isolation that covers
+            every execution mode.)
         checkpoints: Default checkpoint mode (``"off"`` or ``"auto"``)
             applied by :meth:`estimate` when none is given explicitly;
             specs built elsewhere carry their own mode.

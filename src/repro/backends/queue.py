@@ -196,6 +196,9 @@ class FileWorkQueue:
             target.parent.mkdir(parents=True, exist_ok=True)
             try:
                 os.rename(path, target)
+                # The lease starts now: a rename keeps the mtime the job
+                # got when it was queued, which may already look stale.
+                os.utime(target)
             except OSError:
                 continue  # lost the race (or the file vanished)
             payload = _read_json(target)

@@ -178,6 +178,17 @@ class BranchUnit:
         :meth:`warm` per branch; the per-structure logic is inlined with
         tables and masks hoisted into locals because this loop runs once
         per warmed branch.
+
+        Steady repeats are skipped: a conditional event identical to the
+        previous event of the same call only counts its BTB lookup and
+        hit (taken) or nothing (not taken) when the previous event left
+        the state a repeat reproduces.  Taken: history all ones, the
+        bimodal and next gshare counters saturated (so both components
+        predict taken and neither the meta table nor any counter moves)
+        and the BTB entry MRU with the same target (a taken update just
+        put it there).  Not taken: history zero and both counters zero.
+        The rule only looks back within one call, because a detailed
+        run, restore or flush may change the state between calls.
         """
         predictor = self.predictor
         bim_table = predictor.bimodal.table
@@ -196,6 +207,7 @@ class BranchUnit:
 
         i = 0
         count = len(events)
+        last_pc = last_taken = last_target = -1
         while i < count:
             kind = events[i]
             pc = events[i + 1]
@@ -203,6 +215,27 @@ class BranchUnit:
             target = events[i + 3]
             i += 4
             if kind == 0:  # conditional: predict (+BTB lookup), then train
+                if pc == last_pc and taken == last_taken \
+                        and target == last_target and (
+                            history == history_mask
+                            and bim_counters[pc & bim_mask] == max_value
+                            and gsh_counters[(pc ^ history) & gsh_mask]
+                            == max_value if taken else
+                            not (history or bim_counters[pc & bim_mask]
+                                 or gsh_counters[pc & gsh_mask])):
+                    # A steady repeat leaves the state as it is, so every
+                    # identical event after it is one too.
+                    j = i
+                    while (j < count and events[j + 1] == pc
+                           and events[j] == 0 and events[j + 2] == taken
+                           and events[j + 3] == target):
+                        j += 4
+                    if taken:
+                        btb_lookups += (j - i) // 4 + 1
+                        btb_hits += (j - i) // 4 + 1
+                    i = j
+                    continue
+                last_pc, last_taken, last_target = pc, taken, target
                 gsh_index = (pc ^ history) & gsh_mask
                 if meta_counters[pc & meta_mask] >= taken_at:
                     predicted = gsh_counters[gsh_index] >= taken_at
@@ -243,13 +276,15 @@ class BranchUnit:
                 elif value > 0:
                     gsh_counters[gsh_index] = value - 1
                 history = ((history << 1) | taken) & history_mask
-            elif kind == 1:  # JAL: push the return address
-                if len(ras_stack) >= ras_entries:
-                    ras_stack.pop(0)
-                ras_stack.append(pc + 1)
-            elif kind == 2:  # JR: consume the predicted return
-                if ras_stack:
-                    ras_stack.pop()
+            else:
+                last_pc = -1
+                if kind == 1:  # JAL: push the return address
+                    if len(ras_stack) >= ras_entries:
+                        ras_stack.pop(0)
+                    ras_stack.append(pc + 1)
+                elif kind == 2:  # JR: consume the predicted return
+                    if ras_stack:
+                        ras_stack.pop()
             if taken:  # every taken branch installs/refreshes its target
                 btb_set = btb_sets[pc % btb_nsets]
                 tag = pc // btb_nsets

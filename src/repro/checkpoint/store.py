@@ -64,6 +64,9 @@ DEFAULT_BUILD_LIMIT = 200_000_000
 #: Format version of cached BBV profiles (bump on BBVProfile changes).
 BBV_PROFILE_VERSION = 1
 
+#: Format version of stored program lengths (a framed decimal count).
+LENGTH_VERSION = 1
+
 #: LZMA preset for checkpoint-set blobs.  LZMA's multi-megabyte match
 #: window spans many snapshots (zlib's 32 KiB covers barely one), which
 #: is what lets the residual redundancy across strides compress away.
@@ -72,6 +75,7 @@ _LZMA_PRESET = 6
 register_artifact_kind("checkpoint", ".ckpt",
                        f"--v{CHECKPOINT_VERSION}.ckpt")
 register_artifact_kind("bbv", ".bbvp", f"--v{BBV_PROFILE_VERSION}.bbvp")
+register_artifact_kind("checkpoint", ".len", f"--v{LENGTH_VERSION}.len")
 
 
 def _pack(payload: dict) -> bytes:
@@ -545,6 +549,39 @@ class CheckpointStore:
                 # must not break a run that previously worked in memory.
                 pass
         return profile
+
+    # ------------------------------------------------------------------
+    # Program lengths (the population size N of a spec without one)
+    # ------------------------------------------------------------------
+    def length_path_for(self, program: Program) -> Path:
+        return self.directory / (
+            f"{self._slug(program.name)}--{program_fingerprint(program)}"
+            f"--v{LENGTH_VERSION}.len")
+
+    def get_or_measure(self, program: Program) -> int:
+        """Load-else-measure the dynamic length of ``program``.
+
+        The length is a pure function of the program, so a stored one is
+        exactly what a fresh ``measure_program_length`` pass returns; it
+        is stored only after that pass halted (the pass raises
+        otherwise).  As with BBV profiles, an unreadable or corrupt entry
+        is a miss and an unwritable store only skips the write.
+        """
+        path = self.length_path_for(program)
+        blob = self.store.read_path(path)
+        if blob is not None:
+            try:
+                return int(blob)
+            except ValueError:
+                pass  # unparsable: a miss, re-measured and rewritten
+        from repro.functional.simulator import measure_program_length
+
+        length = measure_program_length(program)
+        try:
+            self.store.write_path(path, str(length).encode())
+        except OSError:
+            pass
+        return length
 
     # ------------------------------------------------------------------
     # Maintenance (checkpoint ls / gc)

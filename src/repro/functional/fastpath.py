@@ -17,6 +17,12 @@ a program into specialized Python closures:
   specialized per opcode — register indices, immediates, and branch
   targets are baked in as constants, attribute lookups and tuple
   unpacking are gone;
+* a block whose conditional branch targets its own start (a tight
+  loop) iterates inside its plain and warm closures, up to a cap the
+  run loop derives from the instruction budget and
+  :data:`FLUSH_EVENTS`, and returns how many iterations it ran, so the
+  run loop dispatches once per run of iterations, not once per
+  iteration;
 * instead of calling into the cache/branch models per instruction, the
   warm variant of each closure appends the block's *warming event
   stream* (instruction-fetch and data addresses, branch outcomes) to
@@ -144,14 +150,19 @@ def _align(expr: str) -> str:
 class CompiledBlock:
     """One compiled basic block: metadata plus its closures."""
 
-    __slots__ = ("start", "length", "halts", "run_plain", "run_warm",
-                 "run_trace")
+    __slots__ = ("start", "length", "halts", "loops", "run_plain",
+                 "run_warm", "run_trace")
 
-    def __init__(self, start: int, length: int, halts: bool,
+    def __init__(self, start: int, length: int, halts: bool, loops: bool,
                  run_plain, run_warm) -> None:
         self.start = start
         self.length = length
         self.halts = halts
+        #: Whether the block ends in a conditional branch to its own start.
+        #: Its plain and warm closures then take a trailing ``cap`` (>= 1)
+        #: and run up to ``cap`` back-to-back iterations, returning
+        #: ``(next_pc, iterations)`` instead of ``next_pc``.
+        self.loops = loops
         #: ``run_plain(ir, fr, mem) -> next_pc`` — architectural update only.
         self.run_plain = run_plain
         #: ``run_warm(ir, fr, mem, ev, ev2) -> next_pc`` — also appends
@@ -177,8 +188,11 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
 
     The block extends until a control-flow instruction, ``HALT``, the
     next leader, the end of the program, or :data:`MAX_BLOCK_LENGTH`.
-    Returns ``(length, halts, source)``: the function source of each
-    requested closure variant (keys of :data:`_PARAMS`), in one string.
+    Returns ``(length, halts, loops, source)``: the function source of
+    each requested closure variant (keys of :data:`_PARAMS`), in one
+    string.  A block whose conditional branch targets ``start`` loops:
+    its plain and warm variants iterate inside the closure (see
+    :attr:`CompiledBlock.loops`); its trace variant does not.
     """
     instructions = program.instructions
     size = len(instructions)
@@ -206,7 +220,7 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
 
     pc = start
     length = 0
-    halts = False
+    halts = loops = False
     terminator: dict[str, list[str]] = {}
 
     while pc < size and length < MAX_BLOCK_LENGTH:
@@ -281,16 +295,31 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
             fall = pc + 1
             condition = f"{_iread(rs1)} {cmp} {_iread(rs2)}"
             flush_statics()
-            terminator["plain"] = [
-                f"return {target} if {condition} else {fall}",
-            ]
-            terminator["warm"] = [
-                f"if {condition}:",
-                f"    ev2.extend(({BRANCH_COND}, {pc}, 1, {target}))",
-                f"    return {target}",
-                f"ev2.extend(({BRANCH_COND}, {pc}, 0, {fall}))",
-                f"return {fall}",
-            ]
+            loops = target == start
+            if loops:  # iterate while taken, up to the caller's cap
+                terminator["plain"] = [
+                    "n += 1",
+                    f"if not ({condition}):",
+                    f"    return {fall}, n",
+                ]
+                terminator["warm"] = [
+                    "n += 1",
+                    f"if not ({condition}):",
+                    f"    ev2.extend(({BRANCH_COND}, {pc}, 0, {fall}))",
+                    f"    return {fall}, n",
+                    f"ev2.extend(({BRANCH_COND}, {pc}, 1, {target}))",
+                ]
+            else:
+                terminator["plain"] = [
+                    f"return {target} if {condition} else {fall}",
+                ]
+                terminator["warm"] = [
+                    f"if {condition}:",
+                    f"    ev2.extend(({BRANCH_COND}, {pc}, 1, {target}))",
+                    f"    return {target}",
+                    f"ev2.extend(({BRANCH_COND}, {pc}, 0, {fall}))",
+                    f"return {fall}",
+                ]
             terminator["trace"] = [
                 f"if {condition}:",
                 "    tr.append(1)",
@@ -340,20 +369,29 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
 
     def render(variant: str) -> str:
         events = extra[variant]
-        lines = [f"def _{variant}({_PARAMS[variant]}):"]
+        iterates = loops and variant != "trace"
+        lines = [f"def _{variant}({_PARAMS[variant]}"
+                 f"{', cap' if iterates else ''}):"]
         if any("ap(" in s for stmts in events.values() for s in stmts):
             lines.append(f"    ap = {'ev' if variant == 'warm' else 'tr'}"
                          ".append")
         if load_count:
             lines.append("    mg = mem.get")
+        body = []
         for position, statement in enumerate(arch):
-            lines.extend(f"    {line}" for line in events.get(position, ()))
-            lines.append(f"    {statement}")
-        lines.extend(f"    {line}" for line in events.get(len(arch), ()))
-        lines.extend(f"    {line}" for line in terminator[variant])
+            body.extend(events.get(position, ()))
+            body.append(statement)
+        body.extend(events.get(len(arch), ()))
+        body.extend(terminator[variant])
+        if iterates:
+            lines += ["    n = 0", "    while n < cap:"]
+            lines.extend(f"        {line}" for line in body)
+            lines.append(f"    return {start}, n")
+        else:
+            lines.extend(f"    {line}" for line in body)
         return "\n".join(lines)
 
-    return length, halts, "\n\n".join(map(render, variants))
+    return length, halts, loops, "\n\n".join(map(render, variants))
 
 
 def _exec(program: Program, start: int, source: str) -> dict:
@@ -366,10 +404,10 @@ def _exec(program: Program, start: int, source: str) -> dict:
 def _compile_block(program: Program, start: int,
                    leaders: frozenset[int]) -> CompiledBlock:
     """Compile the plain and warm closures of the block at ``start``."""
-    length, halts, source = _generate(program, start, leaders,
-                                      ("plain", "warm"))
+    length, halts, loops, source = _generate(program, start, leaders,
+                                             ("plain", "warm"))
     namespace = _exec(program, start, source)
-    return CompiledBlock(start, length, halts,
+    return CompiledBlock(start, length, halts, loops,
                          namespace["_plain"], namespace["_warm"])
 
 
@@ -396,7 +434,8 @@ class CompiledProgram:
         block = self.traced.get(pc)
         if block is None:
             block = self.block_at(pc)
-            source = _generate(self.program, pc, self.leaders, ("trace",))[2]
+            source = _generate(self.program, pc, self.leaders,
+                               ("trace",))[3]
             block.run_trace = _exec(self.program, pc, source)["_trace"]
             self.traced[pc] = block
         return block
@@ -432,7 +471,8 @@ class FastCore(FunctionalCore):
     whenever the remaining budget covers a whole block and fall back to
     the interpreter for partial-block remainders and foreign callbacks.
 
-    ``blocks_executed`` / ``fallback_instructions`` count closure calls
+    ``blocks_executed`` / ``fallback_instructions`` count executed block
+    iterations (a self-loop closure call counts each iteration it ran)
     and interpreter-stepped instructions — the count-based dispatch
     metric CI guards instead of wall-clock.
     """
@@ -472,6 +512,7 @@ class FastCore(FunctionalCore):
         size = self._compiled.static_size
         pc = state.pc
         halted = state.halted
+        blocks = 0
         while executed < budget and not halted:
             if pc < 0 or pc >= size:
                 state.halted = halted = True
@@ -480,13 +521,20 @@ class FastCore(FunctionalCore):
             length = block.length
             if executed + length > budget:
                 break
-            pc = block.run_plain(ir, fr, mem)
-            executed += length
-            self.blocks_executed += 1
-            if block.halts:
-                state.halted = halted = True
+            if block.loops:
+                pc, n = block.run_plain(ir, fr, mem,
+                                        (budget - executed) // length)
+                executed += n * length
+                blocks += n
+            else:
+                pc = block.run_plain(ir, fr, mem)
+                executed += length
+                blocks += 1
+                if block.halts:
+                    state.halted = halted = True
         state.pc = pc
         self.instructions_retired += executed
+        self.blocks_executed += blocks
         if executed < count and not self.halted:
             stepped = FunctionalCore.run(self, count - executed)
             self.fallback_instructions += stepped
@@ -509,6 +557,7 @@ class FastCore(FunctionalCore):
         branch_events: list[int] = []
         pc = state.pc
         halted = state.halted
+        blocks = 0
         while executed < budget and not halted:
             if pc < 0 or pc >= size:
                 state.halted = halted = True
@@ -517,16 +566,26 @@ class FastCore(FunctionalCore):
             length = block.length
             if executed + length > budget:
                 break
-            pc = block.run_warm(ir, fr, mem, events, branch_events)
-            executed += length
-            self.blocks_executed += 1
-            if block.halts:
-                state.halted = halted = True
+            if block.loops:
+                # An iteration appends at most 2 * length memory events,
+                # so one call adds at most 2 * FLUSH_EVENTS of them.
+                pc, n = block.run_warm(
+                    ir, fr, mem, events, branch_events,
+                    min(budget - executed, FLUSH_EVENTS) // length)
+                executed += n * length
+                blocks += n
+            else:
+                pc = block.run_warm(ir, fr, mem, events, branch_events)
+                executed += length
+                blocks += 1
+                if block.halts:
+                    state.halted = halted = True
             if len(events) >= FLUSH_EVENTS:
                 self._flush_events(hierarchy, branch_unit,
                                    events, branch_events, written)
         state.pc = pc
         self.instructions_retired += executed
+        self.blocks_executed += blocks
         self._flush_events(hierarchy, branch_unit, events, branch_events,
                            written)
         warmer.instructions_warmed += executed

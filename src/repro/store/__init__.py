@@ -7,7 +7,8 @@ one store under one directory (default ``.artifacts/``, overridable with
 
     .artifacts/
         result/      RunResult JSON, keyed by RunSpec content hash
-        checkpoint/  CheckpointSet blobs, keyed by program/geometry
+        checkpoint/  CheckpointSet blobs, keyed by program/geometry, and
+                     program lengths, keyed by program fingerprint
         bbv/         BBV profiles, keyed by program fingerprint
         reftrace/    full-stream reference traces (npz)
         quarantine/  corrupt blobs moved aside on checksum mismatch

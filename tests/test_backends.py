@@ -143,6 +143,16 @@ class TestFileWorkQueue:
         queue.claim_next()
         assert queue.requeue_stale(lease_seconds=30) == []
 
+    def test_claim_of_a_long_pending_job_starts_a_fresh_lease(self):
+        """The lease runs from the claim, not from the submission: a job
+        that waited in ``pending/`` longer than the lease is not taken
+        back from the worker that just claimed it."""
+        queue = FileWorkQueue()
+        name = queue.submit(_micro_spec())
+        os.utime(queue._path("pending", name), (time.time() - 60,) * 2)
+        assert queue.claim_next()[0] == name
+        assert queue.requeue_stale(lease_seconds=30) == []
+
     def test_record_roundtrip(self):
         queue = FileWorkQueue()
         job = {"kind": "run", "payload": {"x": 1}, "submitted_at": 1.0}

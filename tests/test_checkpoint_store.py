@@ -391,6 +391,90 @@ class TestBBVProfileCache:
 
 
 # ----------------------------------------------------------------------
+# Stored program lengths (the population size N of a spec without one)
+# ----------------------------------------------------------------------
+def counting_program(iterations: int):
+    from repro.isa.builder import ProgramBuilder
+
+    b = ProgramBuilder("count")
+    b.addi("r1", "r0", iterations)
+    b.label("loop")
+    b.addi("r1", "r1", -1)
+    b.bne("r1", "r0", "loop")
+    b.halt()
+    return b.build()
+
+
+def length_passes() -> int:
+    from repro.store import pass_events
+
+    return sum(e.kind == "measure_length" for e in pass_events())
+
+
+class TestProgramLengthStore:
+    def test_hit_records_no_measuring_pass(self, store, micro):
+        from repro.functional import measure_program_length
+
+        expected = measure_program_length(micro.program)
+        before = length_passes()
+        assert store.get_or_measure(micro.program) == expected
+        assert length_passes() == before + 1
+        assert store.get_or_measure(micro.program) == expected
+        assert length_passes() == before + 1
+        assert [p.name for p in store.directory.iterdir()] == \
+            [store.length_path_for(micro.program).name]
+
+    def test_changed_program_misses(self, store):
+        assert store.get_or_measure(counting_program(10)) == 22
+        before = length_passes()
+        assert store.get_or_measure(counting_program(20)) == 42
+        assert length_passes() == before + 1
+        assert len(list(store.directory.glob("*.len"))) == 2
+
+    def test_corrupt_blob_is_quarantined_and_remeasured(self, store):
+        from repro.store import ArtifactCorruptionWarning
+
+        program = counting_program(10)
+        store.get_or_measure(program)
+        path = store.length_path_for(program)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] + b"9")  # 22 -> 29 under the old digest
+        before = length_passes()
+        with pytest.warns(ArtifactCorruptionWarning):
+            assert store.get_or_measure(program) == 22
+        assert length_passes() == before + 1
+        assert list(store.store.quarantine_dir.iterdir())
+        assert path.read_bytes() == blob  # rewritten
+
+    def test_unwritable_store_still_returns_the_length(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_bytes(b"")
+        assert CheckpointStore(blocker).get_or_measure(
+            counting_program(10)) == 22
+
+    def test_gc_removes_stale_lengths_only(self, store):
+        program = counting_program(10)
+        store.get_or_measure(program)
+        stale = store.directory / "count--deadbeef--v0.len"
+        stale.write_bytes(b"22")
+        assert store.gc() == [stale]
+        assert store.length_path_for(program).exists()
+
+    def test_specs_reuse_the_stored_length(self, tmp_path, monkeypatch):
+        from repro.api import RunSpec, SystematicStrategy, run_spec
+
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
+        spec = RunSpec(benchmark="micro.syn", strategy=SystematicStrategy(
+            unit_size=25, n_init=40, max_rounds=1, detailed_warming=50))
+        before = length_passes()
+        first = run_spec(spec)
+        assert length_passes() == before + 1
+        second = run_spec(spec)
+        assert length_passes() == before + 1
+        assert second.estimates_dict() == first.estimates_dict()
+
+
+# ----------------------------------------------------------------------
 # Warm-state delta encoding (the size lever behind denser grids)
 # ----------------------------------------------------------------------
 def v1_format_size(ckpt) -> int:

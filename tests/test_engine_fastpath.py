@@ -57,6 +57,7 @@ from repro.functional.fastpath import (
     EVENT_IFETCH,
     EVENT_LOAD,
     EVENT_STORE,
+    FLUSH_EVENTS,
     MAX_BLOCK_LENGTH,
     FastCore,
     compiled_program,
@@ -68,6 +69,7 @@ from repro.functional.simulator import (
 )
 from repro.functional.warming import FunctionalWarmer
 from repro.harness.bias import measure_bias
+from repro.isa.builder import ProgramBuilder
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
@@ -176,6 +178,56 @@ def _sequential_stream(hierarchy, rng, length):
     return events
 
 
+def _warm_event(unit, kind, pc, taken, target):
+    """``BranchUnit.warm`` for one ``warm_many`` event."""
+    op = {BRANCH_COND: Opcode.BNE, BRANCH_JAL: Opcode.JAL,
+          BRANCH_JR: Opcode.JR, BRANCH_JUMP: Opcode.JUMP}[kind]
+    unit.warm(DynInst(
+        seq=0, pc=pc, op=op, opclass=OpClass.BRANCH, rd=None, srcs=(),
+        mem_addr=None, is_load=False, is_store=False, is_branch=True,
+        is_conditional=kind == BRANCH_COND, taken=bool(taken),
+        next_pc=target))
+
+
+def _is_steady(unit, event):
+    """Whether repeating conditional ``event`` leaves ``unit`` unchanged:
+    history, bimodal and gshare counters saturated toward its outcome."""
+    kind, pc, taken, _ = event
+    predictor = unit.predictor
+    gshare = predictor.gshare
+    bimodal = predictor.bimodal.table
+    index = (pc ^ gshare.history) & gshare.table.mask
+    value = bimodal.MAX_VALUE if taken else 0
+    return (kind == BRANCH_COND
+            and gshare.history == (gshare.history_mask if taken else 0)
+            and bimodal.counters[pc & bimodal.mask] == value
+            and gshare.table.counters[index] == value)
+
+
+def _loop_stream(rng, btb_sets, events=12_000):
+    """Branch events shaped like loop nests: taken back-edge runs ended
+    by one not-taken exit, never-taken guards, back-edges retargeted,
+    and JAL/JR/JUMP or conditionals at another pc of the same BTB set."""
+    stream: list[int] = []
+    loops = [rng.randrange(16, 4000) for _ in range(4)]
+    while len(stream) < events:
+        pc = rng.choice(loops)
+        target = pc - rng.randrange(1, 8)
+        shape = rng.random()
+        if shape < 0.55:
+            stream += [BRANCH_COND, pc, 1, target] * rng.randrange(1, 60)
+            stream += [BRANCH_COND, pc, 0, pc + 1]
+        elif shape < 0.75:
+            stream += [BRANCH_COND, pc, 0, pc + 1] * rng.randrange(1, 40)
+        elif shape < 0.85:
+            stream += [BRANCH_COND, pc, 1, target + 1] * rng.randrange(1, 4)
+        else:
+            kind = rng.choice((BRANCH_JAL, BRANCH_JR, BRANCH_JUMP,
+                               BRANCH_COND))
+            stream += [kind, pc + btb_sets, 1, rng.randrange(4000)]
+    return stream
+
+
 class TestWarmManyEquivalence:
     @pytest.mark.parametrize(
         "geometry", [*CONFIGURATIONS, "page16-line64", "page48-line32"])
@@ -272,6 +324,43 @@ class TestWarmManyEquivalence:
         assert bulk.warm_state() == reference.warm_state()
         assert bulk.btb.lookups == reference.btb.lookups
         assert bulk.btb.hits == reference.btb.hits
+
+    @pytest.mark.parametrize("machine", CONFIGURATIONS)
+    def test_loop_streams_match_warm(self, machine):
+        """Loop-shaped streams (taken runs that saturate the counters,
+        long not-taken runs, retargets) broken by JAL/JR/JUMP and
+        other-pc events and split across calls, with ``resolve_at``
+        between calls evicting the last branch's BTB entry while history
+        stays all ones: the steady-repeat skip must leave exactly the
+        per-event state and BTB statistics."""
+        config = get_config(machine).branch
+        reference, bulk = BranchUnit(config), BranchUnit(config)
+        rng = random.Random(machine)
+        events = _loop_stream(rng, reference.btb.num_sets)
+        previous = None
+        steady = {0: 0, 1: 0}
+        start = 0
+        while start < len(events):
+            chunk = events[start:start + 4 * rng.randrange(1, 200)]
+            start += len(chunk)
+            for i in range(0, len(chunk), 4):
+                event = tuple(chunk[i:i + 4])
+                if event == previous and _is_steady(reference, event):
+                    steady[event[2]] += 1
+                _warm_event(reference, *event)
+                previous = event
+            bulk.warm_many(chunk)
+            btb = reference.btb
+            for way in range(1, btb.assoc + 1):  # taken, same BTB set
+                other = chunk[-3] + way * btb.num_sets
+                for unit in (reference, bulk):
+                    unit.resolve_at(other, BRANCH_COND, 1, other + 5)
+            assert bulk.btb.hits == reference.btb.hits
+        assert bulk.warm_state() == reference.warm_state()
+        assert bulk.btb.lookups == reference.btb.lookups
+        assert bulk.btb.hits == reference.btb.hits
+        # The streams reach both steady states often.
+        assert steady[1] > 1000 and steady[0] > 200, steady
 
     def test_small_btb_geometry(self):
         """Eviction-heavy BTB and shallow RAS still match exactly."""
@@ -374,6 +463,118 @@ class TestExecutionEquivalence:
             assert left.mem_delta == right.mem_delta
             assert left.micro == right.micro
             assert left.micro_delta == right.micro_delta
+
+
+# ----------------------------------------------------------------------
+# Self-loop blocks (iterated inside their closures)
+# ----------------------------------------------------------------------
+#: Instructions before the loop, and in its one self-loop block.
+LOOP_PROLOGUE, LOOP_LENGTH = 2, 5
+
+
+def self_loop_program(iterations: int):
+    """A load, a store to a fresh address, two ALU ops and the branch
+    back, run ``iterations`` times as one self-loop block, then HALT."""
+    b = ProgramBuilder(f"self-loop-{iterations}")
+    b.addi("r2", "r0", iterations)
+    b.addi("r4", "r0", 4096)
+    b.label("loop")
+    b.load("r1", "r4", 0)
+    b.store("r2", "r4", 8)
+    b.addi("r4", "r4", 16)
+    b.addi("r2", "r2", -1)
+    b.bne("r2", "r0", "loop")
+    b.halt()
+    return b.build()
+
+
+#: Budgets that end runs exactly at, one short of and one past iteration
+#: boundaries, inside an iteration, and past the end of the program.
+LOOP_BUDGETS = (LOOP_PROLOGUE, LOOP_LENGTH, 3 * LOOP_LENGTH - 1, 1,
+                LOOP_LENGTH + 1, 7 * LOOP_LENGTH, 2, 3, 40 * LOOP_LENGTH + 3,
+                LOOP_LENGTH, 10_000)
+
+
+class TestSelfLoopBlocks:
+    def test_only_the_self_loop_block_iterates(self):
+        compiled = compiled_program(self_loop_program(50))
+        loop = compiled.block_at(LOOP_PROLOGUE)
+        assert loop.loops and loop.length == LOOP_LENGTH
+        assert not compiled.block_at(0).loops
+        assert not compiled.block_at(LOOP_PROLOGUE + 1).loops  # mid-loop
+
+    def test_whole_run_counts_iterations(self):
+        program = self_loop_program(300)
+        fast, interp = FastCore(program), FunctionalCore(program)
+        assert fast.run_to_completion() == interp.run_to_completion()
+        assert fast.state == interp.state
+        # Prologue block, 300 iterations, HALT block: one call each.
+        assert fast.blocks_executed == 302
+        assert fast.fallback_instructions == 0
+
+    def test_plain_budget_cuts(self):
+        program = self_loop_program(100)
+        fast, interp = FastCore(program), FunctionalCore(program)
+        for count in LOOP_BUDGETS:
+            assert fast.run(count) == interp.run(count)
+            assert fast.state == interp.state
+            assert fast.instructions_retired == interp.instructions_retired
+
+    @pytest.mark.parametrize("iterations", [3, 4, 10])
+    @pytest.mark.parametrize("cut", [-1, 0, 1, 2])
+    def test_max_instructions_cuts(self, iterations, cut):
+        program = self_loop_program(50)
+        limit = LOOP_PROLOGUE + iterations * LOOP_LENGTH + cut
+        fast = FastCore(program, max_instructions=limit)
+        interp = FunctionalCore(program, max_instructions=limit)
+        assert fast.run(10_000) == interp.run(10_000) == limit
+        assert fast.state == interp.state
+
+    def test_warmed_budget_cuts_with_written(self, machine_8way):
+        program = self_loop_program(100)
+        cores = FastCore(program), FunctionalCore(program)
+        warmers = [FunctionalWarmer(MicroarchState(machine_8way))
+                   for _ in cores]
+        written = [set(), set()]
+        for count in LOOP_BUDGETS:
+            executed = [core.run_warmed(count, warmer, seen) for
+                        core, warmer, seen in zip(cores, warmers, written)]
+            assert executed[0] == executed[1]
+            assert cores[0].state == cores[1].state
+            assert written[0] == written[1]
+            assert (warmers[0].microarch.snapshot_state()
+                    == warmers[1].microarch.snapshot_state())
+        assert warmers[0].instructions_warmed == \
+            warmers[1].instructions_warmed
+        assert len(written[0]) == 100
+
+    def test_flush_cap_bounds_the_event_buffer(self, machine_8way,
+                                               monkeypatch):
+        iterations = 6 * FLUSH_EVENTS // LOOP_LENGTH
+        program = self_loop_program(iterations)
+        fast, interp = FastCore(program), FunctionalCore(program)
+        warm_fast = FunctionalWarmer(MicroarchState(machine_8way))
+        warm_interp = FunctionalWarmer(MicroarchState(machine_8way))
+        hierarchy = warm_fast.microarch.hierarchy
+        batches = []
+        real = hierarchy.warm_many
+
+        def recording(events):
+            batches.append(len(events))
+            real(events)
+
+        monkeypatch.setattr(hierarchy, "warm_many", recording)
+        written_fast, written_interp = set(), set()
+        assert fast.run_warmed(1 << 40, warm_fast, written_fast) == \
+            interp.run_warmed(1 << 40, warm_interp, written_interp)
+        assert fast.state == interp.state
+        assert written_fast == written_interp
+        assert warm_fast.microarch.snapshot_state() == \
+            warm_interp.microarch.snapshot_state()
+        # A capped call adds at most 2 * FLUSH_EVENTS memory events to a
+        # buffer that held fewer than FLUSH_EVENTS.
+        assert len(batches) > 6
+        assert max(batches) < 3 * FLUSH_EVENTS
 
 
 # ----------------------------------------------------------------------

@@ -287,7 +287,7 @@ class TestStoreFaults:
 
     def test_corrupt_result_cache_entry_is_a_miss(self):
         install_plan({"rules": [{"site": "store.write", "kind": "corrupt",
-                                 "match": "--v"}]})
+                                 "match": ".json"}]})
         spec = _micro_spec()
         session = Session()
         result = session.run(spec)  # computed, cached corruptly
