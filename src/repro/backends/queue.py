@@ -196,8 +196,7 @@ class FileWorkQueue:
             target.parent.mkdir(parents=True, exist_ok=True)
             try:
                 os.rename(path, target)
-                # The lease starts now: a rename keeps the mtime the job
-                # got when it was queued, which may already look stale.
+                # Start the lease: a rename keeps the queued-at mtime.
                 os.utime(target)
             except OSError:
                 continue  # lost the race (or the file vanished)

@@ -179,16 +179,14 @@ class BranchUnit:
         tables and masks hoisted into locals because this loop runs once
         per warmed branch.
 
-        Steady repeats are skipped: a conditional event identical to the
-        previous event of the same call only counts its BTB lookup and
-        hit (taken) or nothing (not taken) when the previous event left
-        the state a repeat reproduces.  Taken: history all ones, the
-        bimodal and next gshare counters saturated (so both components
-        predict taken and neither the meta table nor any counter moves)
-        and the BTB entry MRU with the same target (a taken update just
-        put it there).  Not taken: history zero and both counters zero.
-        The rule only looks back within one call, because a detailed
-        run, restore or flush may change the state between calls.
+        A conditional event identical to the previous event of the same
+        call changes nothing when that event left history all ones, the
+        bimodal and next gshare counters saturated (both predict taken,
+        so the meta table is not trained) and its BTB entry MRU with the
+        same target (a taken update puts it there) — or, not taken,
+        history and both counters zero; such a steady repeat only counts
+        its BTB lookup and hit, if taken.  The rule never looks back
+        across calls: a detailed run or restore may change the state.
         """
         predictor = self.predictor
         bim_table = predictor.bimodal.table
@@ -215,14 +213,12 @@ class BranchUnit:
             target = events[i + 3]
             i += 4
             if kind == 0:  # conditional: predict (+BTB lookup), then train
-                if pc == last_pc and taken == last_taken \
-                        and target == last_target and (
-                            history == history_mask
-                            and bim_counters[pc & bim_mask] == max_value
-                            and gsh_counters[(pc ^ history) & gsh_mask]
-                            == max_value if taken else
-                            not (history or bim_counters[pc & bim_mask]
-                                 or gsh_counters[pc & gsh_mask])):
+                if (pc == last_pc and taken == last_taken
+                        and target == last_target
+                        and history == (history_mask if taken else 0)
+                        and bim_counters[pc & bim_mask]
+                        == gsh_counters[(pc ^ history) & gsh_mask]
+                        == (max_value if taken else 0)):
                     # A steady repeat leaves the state as it is, so every
                     # identical event after it is one too.
                     j = i

@@ -559,13 +559,11 @@ class CheckpointStore:
             f"--v{LENGTH_VERSION}.len")
 
     def get_or_measure(self, program: Program) -> int:
-        """Load-else-measure the dynamic length of ``program``.
+        """Load-else-measure the dynamic length of ``program`` (exact:
+        only halted lengths are stored — the pass raises otherwise).
 
-        The length is a pure function of the program, so a stored one is
-        exactly what a fresh ``measure_program_length`` pass returns; it
-        is stored only after that pass halted (the pass raises
-        otherwise).  As with BBV profiles, an unreadable or corrupt entry
-        is a miss and an unwritable store only skips the write.
+        As with BBV profiles, an unreadable or corrupt entry is a miss
+        and an unwritable store only skips the write.
         """
         path = self.length_path_for(program)
         blob = self.store.read_path(path)

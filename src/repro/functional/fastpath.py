@@ -17,12 +17,10 @@ a program into specialized Python closures:
   specialized per opcode — register indices, immediates, and branch
   targets are baked in as constants, attribute lookups and tuple
   unpacking are gone;
-* a block whose conditional branch targets its own start (a tight
-  loop) iterates inside its plain and warm closures, up to a cap the
-  run loop derives from the instruction budget and
-  :data:`FLUSH_EVENTS`, and returns how many iterations it ran, so the
-  run loop dispatches once per run of iterations, not once per
-  iteration;
+* a block whose conditional branch targets its own start iterates
+  inside its plain and warm closures, up to a cap the run loop derives
+  from the instruction budget and :data:`FLUSH_EVENTS`, so a tight loop
+  costs one dispatch per run of iterations, not one per iteration;
 * instead of calling into the cache/branch models per instruction, the
   warm variant of each closure appends the block's *warming event
   stream* (instruction-fetch and data addresses, branch outcomes) to
@@ -158,10 +156,8 @@ class CompiledBlock:
         self.start = start
         self.length = length
         self.halts = halts
-        #: Whether the block ends in a conditional branch to its own start.
-        #: Its plain and warm closures then take a trailing ``cap`` (>= 1)
-        #: and run up to ``cap`` back-to-back iterations, returning
-        #: ``(next_pc, iterations)`` instead of ``next_pc``.
+        #: Self-loop block: its plain and warm closures take a trailing
+        #: ``cap`` (>= 1) and return ``(next_pc, iterations run)``.
         self.loops = loops
         #: ``run_plain(ir, fr, mem) -> next_pc`` — architectural update only.
         self.run_plain = run_plain
@@ -190,9 +186,7 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
     next leader, the end of the program, or :data:`MAX_BLOCK_LENGTH`.
     Returns ``(length, halts, loops, source)``: the function source of
     each requested closure variant (keys of :data:`_PARAMS`), in one
-    string.  A block whose conditional branch targets ``start`` loops:
-    its plain and warm variants iterate inside the closure (see
-    :attr:`CompiledBlock.loops`); its trace variant does not.
+    string; ``loops`` is :attr:`CompiledBlock.loops`.
     """
     instructions = program.instructions
     size = len(instructions)
@@ -377,18 +371,17 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
                          ".append")
         if load_count:
             lines.append("    mg = mem.get")
-        body = []
-        for position, statement in enumerate(arch):
-            body.extend(events.get(position, ()))
-            body.append(statement)
-        body.extend(events.get(len(arch), ()))
-        body.extend(terminator[variant])
+        indent = " " * 4
         if iterates:
             lines += ["    n = 0", "    while n < cap:"]
-            lines.extend(f"        {line}" for line in body)
+            indent *= 2
+        for position, statement in enumerate(arch):
+            lines.extend(indent + line for line in events.get(position, ()))
+            lines.append(indent + statement)
+        lines.extend(indent + line for line in events.get(len(arch), ()))
+        lines.extend(indent + line for line in terminator[variant])
+        if iterates:
             lines.append(f"    return {start}, n")
-        else:
-            lines.extend(f"    {line}" for line in body)
         return "\n".join(lines)
 
     return length, halts, loops, "\n\n".join(map(render, variants))
@@ -512,7 +505,6 @@ class FastCore(FunctionalCore):
         size = self._compiled.static_size
         pc = state.pc
         halted = state.halted
-        blocks = 0
         while executed < budget and not halted:
             if pc < 0 or pc >= size:
                 state.halted = halted = True
@@ -525,16 +517,15 @@ class FastCore(FunctionalCore):
                 pc, n = block.run_plain(ir, fr, mem,
                                         (budget - executed) // length)
                 executed += n * length
-                blocks += n
+                self.blocks_executed += n
             else:
                 pc = block.run_plain(ir, fr, mem)
                 executed += length
-                blocks += 1
+                self.blocks_executed += 1
                 if block.halts:
                     state.halted = halted = True
         state.pc = pc
         self.instructions_retired += executed
-        self.blocks_executed += blocks
         if executed < count and not self.halted:
             stepped = FunctionalCore.run(self, count - executed)
             self.fallback_instructions += stepped
@@ -557,7 +548,6 @@ class FastCore(FunctionalCore):
         branch_events: list[int] = []
         pc = state.pc
         halted = state.halted
-        blocks = 0
         while executed < budget and not halted:
             if pc < 0 or pc >= size:
                 state.halted = halted = True
@@ -567,17 +557,16 @@ class FastCore(FunctionalCore):
             if executed + length > budget:
                 break
             if block.loops:
-                # An iteration appends at most 2 * length memory events,
-                # so one call adds at most 2 * FLUSH_EVENTS of them.
+                # <= 2 * length memory events per iteration
                 pc, n = block.run_warm(
                     ir, fr, mem, events, branch_events,
                     min(budget - executed, FLUSH_EVENTS) // length)
                 executed += n * length
-                blocks += n
+                self.blocks_executed += n
             else:
                 pc = block.run_warm(ir, fr, mem, events, branch_events)
                 executed += length
-                blocks += 1
+                self.blocks_executed += 1
                 if block.halts:
                     state.halted = halted = True
             if len(events) >= FLUSH_EVENTS:
@@ -585,7 +574,6 @@ class FastCore(FunctionalCore):
                                    events, branch_events, written)
         state.pc = pc
         self.instructions_retired += executed
-        self.blocks_executed += blocks
         self._flush_events(hierarchy, branch_unit, events, branch_events,
                            written)
         warmer.instructions_warmed += executed

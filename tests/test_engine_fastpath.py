@@ -206,8 +206,9 @@ def _is_steady(unit, event):
 
 def _loop_stream(rng, btb_sets, events=12_000):
     """Branch events shaped like loop nests: taken back-edge runs ended
-    by one not-taken exit, never-taken guards, back-edges retargeted,
-    and JAL/JR/JUMP or conditionals at another pc of the same BTB set."""
+    by one not-taken exit, never-taken guards, taken runs whose target
+    changes, and JAL/JR/JUMP or conditionals at another pc of the same
+    BTB set."""
     stream: list[int] = []
     loops = [rng.randrange(16, 4000) for _ in range(4)]
     while len(stream) < events:
@@ -219,7 +220,8 @@ def _loop_stream(rng, btb_sets, events=12_000):
             stream += [BRANCH_COND, pc, 0, pc + 1]
         elif shape < 0.75:
             stream += [BRANCH_COND, pc, 0, pc + 1] * rng.randrange(1, 40)
-        elif shape < 0.85:
+        elif shape < 0.85:  # retargeted in the middle of a taken run
+            stream += [BRANCH_COND, pc, 1, target] * rng.randrange(1, 30)
             stream += [BRANCH_COND, pc, 1, target + 1] * rng.randrange(1, 4)
         else:
             kind = rng.choice((BRANCH_JAL, BRANCH_JR, BRANCH_JUMP,
