@@ -18,10 +18,7 @@ behaviourally diverse subset of the suite and records the rates into
   interpreter vs fastpath engine, asserting the fastpath's >= 3x
   speedup (the acceptance criterion of the engine work); measured on a
   2-vCPU x86 container at ~0.26-0.29M instr/s interpreted vs 1.4-2.7M
-  instr/s fastpath (geomean 7.3x; 5.0x before self-loop blocks iterated
-  inside their closures and ``BranchUnit.warm_many`` skipped steady
-  branch repeats, 4.2x before ``MemoryHierarchy.warm_many`` replayed
-  one fetch per I-cache line instead of one per instruction);
+  instr/s fastpath (geomean 7.3x);
 * detailed simulation — ``DetailedSimulator.run`` in the ``dense``
   shape (one 2000-instruction warming call, then back-to-back
   50-instruction units), step-fed (interpreter core) vs block-fed

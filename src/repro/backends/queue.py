@@ -195,9 +195,8 @@ class FileWorkQueue:
             target = self._path("claimed", path.name[:-len(".json")])
             target.parent.mkdir(parents=True, exist_ok=True)
             try:
+                os.utime(path)  # start the lease; a rename keeps the mtime
                 os.rename(path, target)
-                # Start the lease: a rename keeps the queued-at mtime.
-                os.utime(target)
             except OSError:
                 continue  # lost the race (or the file vanished)
             payload = _read_json(target)

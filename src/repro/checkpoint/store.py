@@ -572,6 +572,7 @@ class CheckpointStore:
                 return int(blob)
             except ValueError:
                 pass  # unparsable: a miss, re-measured and rewritten
+        # Looked up per call, so wrappers of it (bench's tracer) see it.
         from repro.functional.simulator import measure_program_length
 
         length = measure_program_length(program)

@@ -20,7 +20,8 @@ a program into specialized Python closures:
 * a block whose conditional branch targets its own start iterates
   inside its plain and warm closures, up to a cap the run loop derives
   from the instruction budget and :data:`FLUSH_EVENTS`, so a tight loop
-  costs one dispatch per run of iterations, not one per iteration;
+  costs one dispatch per run of iterations, not one per iteration
+  (``FastCore.blocks_executed`` still counts block iterations);
 * instead of calling into the cache/branch models per instruction, the
   warm variant of each closure appends the block's *warming event
   stream* (instruction-fetch and data addresses, branch outcomes) to

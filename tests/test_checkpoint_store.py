@@ -431,9 +431,10 @@ class TestProgramLengthStore:
         assert length_passes() == before + 1
         assert len(list(store.directory.glob("*.len"))) == 2
 
-    def test_corrupt_blob_is_quarantined_and_remeasured(self, store):
-        from repro.store import ArtifactCorruptionWarning
+    def test_corrupt_blob_is_quarantined_and_remeasured(self, tmp_path):
+        from repro.store import ArtifactCorruptionWarning, ArtifactStore
 
+        store = CheckpointStore(store=ArtifactStore(tmp_path / "artifacts"))
         program = counting_program(10)
         store.get_or_measure(program)
         path = store.length_path_for(program)
