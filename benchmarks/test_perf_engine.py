@@ -17,12 +17,12 @@ behaviourally diverse subset of the suite and records the rates into
 * functional warming — cold caches and predictors, full event stream,
   interpreter vs fastpath engine, asserting the fastpath's >= 3x
   speedup (the acceptance criterion of the engine work); measured on a
-  2-vCPU x86 container at ~0.26-0.29M instr/s interpreted vs 1.4-2.7M
-  instr/s fastpath (geomean 7.3x);
+  busy 2-vCPU x86 container at ~0.13-0.15M instr/s interpreted vs
+  0.87-1.6M instr/s fastpath (geomean 8.7x);
 * detailed simulation — ``DetailedSimulator.run`` in the ``dense``
   shape (one 2000-instruction warming call, then back-to-back
   50-instruction units), step-fed (interpreter core) vs block-fed
-  (fastpath core), with identical counters asserted (measured 2.1x
+  (fastpath core), with identical counters asserted (measured 2.0x
   geomean on the same host).
 
 Ratios are measured inside one process on one core, so they are

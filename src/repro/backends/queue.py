@@ -23,6 +23,8 @@ directory — can drain one queue:
   lease belonged to a dead (or wedged) worker; any process may requeue
   it — the attempt counter rides inside the spec file, and a job that
   exhausts its attempts lands in ``failed/`` instead of looping forever.
+  A recoverer first takes the stale claim by renaming it to a name of
+  its own, so two recoverers never both requeue one claim.
 * **Results by content key.**  Job names embed the spec's content hash
   and cache version, so resubmitting the same spec maps to the same
   job, and workers share everything heavier than a spec (checkpoint
@@ -44,6 +46,7 @@ import subprocess
 import sys
 import threading
 import time
+import uuid
 from pathlib import Path
 
 from repro.reliability.faults import inject
@@ -59,6 +62,9 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: Job states a spec file can be in (subdirectory names).
 JOB_STATES = ("pending", "claimed", "done", "failed")
+
+#: Suffix of a stale claim a process has taken to recover it.
+_RECOVERING = ".recovering"
 
 
 def default_queue_dir() -> Path:
@@ -233,18 +239,23 @@ class FileWorkQueue:
     def fail(self, name: str, error: str, worker: dict | None,
              attempts: int = 1, error_type: str = "Exception",
              transient: bool = False, job: dict | None = None,
-             failures: list | None = None) -> None:
+             failures: list | None = None,
+             claim: Path | None = None) -> None:
+        """Write the ``failed/`` record, then drop the claim file
+        (``claim``, default the job's file in ``claimed/``)."""
         _write_json(self._path("failed", name),
                     {"error": error, "worker": worker or {},
                      "attempts": attempts, "error_type": error_type,
                      "transient": transient, "job": job,
                      "failures": failures, "finished_at": time.time()})
-        self._path("claimed", name).unlink(missing_ok=True)
+        (claim or self._path("claimed", name)).unlink(missing_ok=True)
 
-    def requeue(self, name: str, payload: dict) -> None:
-        """Put a claimed job back in ``pending/`` (worker-side retry)."""
+    def requeue(self, name: str, payload: dict,
+                claim: Path | None = None) -> None:
+        """Put a claimed job back in ``pending/`` (worker-side retry),
+        then drop the claim file (``claim``, default as in :meth:`fail`)."""
         _write_json(self._path("pending", name), payload)
-        self._path("claimed", name).unlink(missing_ok=True)
+        (claim or self._path("claimed", name)).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Lease recovery (any process may run this)
@@ -261,30 +272,57 @@ class FileWorkQueue:
         claimed = self._dir("claimed")
         if not claimed.is_dir():
             return []
-        now = time.time()
         requeued = []
-        for path in sorted(claimed.glob("*.json")):
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue  # completed under us
-            if now - mtime <= lease_seconds:
-                continue
-            payload = _read_json(path)
-            name = path.stem
-            if payload is None:
-                path.unlink(missing_ok=True)
-                continue
-            payload["attempts"] = int(payload.get("attempts", 0)) + 1
-            if payload["attempts"] >= max_attempts:
-                self.fail(name, f"abandoned after {payload['attempts']} "
-                                f"attempts (worker lease expired)",
-                          worker=None, attempts=payload["attempts"],
-                          error_type="LeaseExpired", transient=True)
-                continue
-            self.requeue(name, payload)
-            requeued.append(name)
+        for path in sorted([*claimed.glob("*.json"),
+                            *claimed.glob(f"*{_RECOVERING}")]):
+            name = path.name.rpartition(".json")[0]
+            if self._recover(path, name, lease_seconds, max_attempts):
+                requeued.append(name)
         return requeued
+
+    def _recover(self, path: Path, name: str, lease_seconds: float,
+                 max_attempts: int) -> bool:
+        """Requeue (or fail) the job of one claim file if it is stale.
+
+        The claim is taken by renaming it to a name of this recoverer's
+        own first, so of two processes recovering it only the one whose
+        rename succeeds goes on.  A file that is fresh after the rename
+        was re-taken in between (a worker claimed the requeued job), so
+        it is renamed back untouched.  The winner stamps its file before
+        reading it: a recoverer that dies mid-way leaves a
+        ``*.recovering`` file that goes stale after one lease and is
+        recovered like a claim.  Returns whether the job was requeued.
+        """
+        try:
+            if time.time() - path.stat().st_mtime <= lease_seconds:
+                return False
+        except OSError:
+            return False  # completed or recovered under us
+        mine = path.with_name(f"{name}.json.{uuid.uuid4().hex}{_RECOVERING}")
+        try:
+            os.rename(path, mine)
+        except OSError:
+            return False  # another process took it first
+        try:
+            if time.time() - mine.stat().st_mtime <= lease_seconds:
+                os.rename(mine, path)
+                return False
+            os.utime(mine)
+        except OSError:
+            return False
+        payload = _read_json(mine)
+        if payload is None:
+            mine.unlink(missing_ok=True)
+            return False
+        payload["attempts"] = int(payload.get("attempts", 0)) + 1
+        if payload["attempts"] >= max_attempts:
+            self.fail(name, f"abandoned after {payload['attempts']} "
+                            f"attempts (worker lease expired)",
+                      worker=None, attempts=payload["attempts"],
+                      error_type="LeaseExpired", transient=True, claim=mine)
+            return False
+        self.requeue(name, payload, claim=mine)
+        return True
 
     def counts(self, states=JOB_STATES) -> dict[str, int]:
         """Jobs per state (introspection / CLI)."""

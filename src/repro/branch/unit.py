@@ -69,6 +69,11 @@ class BranchUnit:
         combined predictor's predict-and-train of a conditional branch
         is inlined (tables hoisted into locals) because the detailed
         timing model calls this once per simulated branch.
+
+        This per-structure path is the specification the detailed timing
+        model's :meth:`bind` kernel is tested against.  A kernel is valid
+        for one ``run`` call only: a restore, :meth:`reset` or
+        :meth:`reset_stats` replaces the tables and counters it holds.
         """
         btb = self.btb
         if kind == 0:
@@ -131,6 +136,147 @@ class BranchUnit:
         if mispredicted:
             self.mispredictions += 1
         return predicted_taken, predicted_target, mispredicted
+
+    def bind(self):
+        """A bound :meth:`resolve_at` kernel: ``(resolve, close)``.
+
+        ``resolve(pc, kind, taken, target)`` has exactly the state effect
+        of ``resolve_at`` with the same arguments and returns only its
+        ``mispredicted`` flag, the one field the timing model reads.  It
+        reads every counter table, mask and BTB/RAS container into
+        closure locals once, checks a BTB set's MRU (last) entry before
+        scanning it, and keeps global history and the branch, mispredict
+        and BTB counters in locals; ``close()`` writes them back (call it
+        exactly once, when done).  The BTB probe of a predicted-taken
+        branch is fused with its taken install: after the probe the
+        entry is already MRU, so the install only writes the target.
+
+        As in the timing model, a JAL, JR or JUMP (kinds 1–3) is always
+        taken, so ``taken`` is only read for a conditional branch.  The
+        kernel is valid until ``close()`` within one detailed ``run``
+        call: a restore, :meth:`reset` or :meth:`reset_stats` replaces
+        the tables and counters it holds.
+        """
+        predictor = self.predictor
+        bim_table = predictor.bimodal.table
+        bim_counters, bim_mask = bim_table.counters, bim_table.mask
+        gsh = predictor.gshare
+        gsh_counters, gsh_mask = gsh.table.counters, gsh.table.mask
+        history, history_mask = gsh.history, gsh.history_mask
+        meta_table = predictor.meta
+        meta_counters, meta_mask = meta_table.counters, meta_table.mask
+        taken_at = bim_table.TAKEN_THRESHOLD
+        max_value = bim_table.MAX_VALUE
+        btb = self.btb
+        btb_sets, btb_nsets, btb_assoc = btb._sets, btb.num_sets, btb.assoc
+        ras_stack, ras_entries = self.ras._stack, self.ras.entries
+        branches = mispredictions = lookups = hits = 0
+
+        def resolve(pc, kind, taken, target):
+            nonlocal history, branches, mispredictions, lookups, hits
+            branches += 1
+            if kind == 0:
+                bim_index = pc & bim_mask
+                gsh_index = (pc ^ history) & gsh_mask
+                bim_pred = bim_counters[bim_index] >= taken_at
+                gsh_pred = gsh_counters[gsh_index] >= taken_at
+                meta_index = pc & meta_mask
+                value = meta_counters[meta_index]
+                probe = gsh_pred if value >= taken_at else bim_pred
+                # CombinedPredictor.update(pc, taken)
+                if bim_pred != gsh_pred:
+                    if gsh_pred == taken:
+                        if value < max_value:
+                            meta_counters[meta_index] = value + 1
+                    elif value > 0:
+                        meta_counters[meta_index] = value - 1
+                value = bim_counters[bim_index]
+                if taken:
+                    if value < max_value:
+                        bim_counters[bim_index] = value + 1
+                    value = gsh_counters[gsh_index]
+                    if value < max_value:
+                        gsh_counters[gsh_index] = value + 1
+                    history = ((history << 1) | 1) & history_mask
+                else:
+                    if value > 0:
+                        bim_counters[bim_index] = value - 1
+                    value = gsh_counters[gsh_index]
+                    if value > 0:
+                        gsh_counters[gsh_index] = value - 1
+                    history = (history << 1) & history_mask
+                    if probe:
+                        # Predicted taken: the probe moves a hit to MRU.
+                        lookups += 1
+                        btb_set = btb_sets[pc % btb_nsets]
+                        tag = pc // btb_nsets
+                        if btb_set and btb_set[-1][0] == tag:
+                            hits += 1
+                        else:
+                            for entry in btb_set:
+                                if entry[0] == tag:
+                                    hits += 1
+                                    btb_set.remove(entry)
+                                    btb_set.append(entry)
+                                    break
+                    mispredictions += probe
+                    return probe
+                if not probe:  # taken, predicted not taken: install only
+                    mispredicted = True
+                    probe = None
+            elif kind == 2:  # JR: the RAS predicts; the BTB only on underflow
+                if ras_stack:
+                    predicted = ras_stack.pop()
+                    mispredicted = predicted != target
+                    probe = None
+                else:
+                    probe = True
+            else:  # JAL, JUMP
+                if kind == 1:
+                    if len(ras_stack) >= ras_entries:
+                        ras_stack.pop(0)
+                    ras_stack.append(pc + 1)
+                probe = True
+
+            # A taken branch: probe the BTB if predicting through it, then
+            # install or refresh its target (already MRU after a probe hit).
+            btb_set = btb_sets[pc % btb_nsets]
+            tag = pc // btb_nsets
+            if btb_set and btb_set[-1][0] == tag:
+                entry = btb_set[-1]
+            else:
+                for entry in btb_set:
+                    if entry[0] == tag:
+                        btb_set.remove(entry)
+                        btb_set.append(entry)
+                        break
+                else:
+                    entry = None
+            if probe:
+                lookups += 1
+                if entry is None:
+                    mispredicted = True
+                else:
+                    hits += 1
+                    mispredicted = entry[1] != target
+            if entry is None:
+                if len(btb_set) >= btb_assoc:
+                    btb_set.pop(0)
+                btb_set.append([tag, target])
+            else:
+                entry[1] = target
+            if mispredicted:
+                mispredictions += 1
+            return mispredicted
+
+        def close():
+            gsh.history = history
+            btb.lookups += lookups
+            btb.hits += hits
+            self.branches += branches
+            self.mispredictions += mispredictions
+
+        return resolve, close
 
     # ------------------------------------------------------------------
     # Functional-warming interface

@@ -215,12 +215,14 @@ class DetailedSimulator:
         and store addresses, conditional-branch outcomes, and the next
         pc.  Everything static about an instruction comes from the
         decode table, and the pipeline state lives in locals for the
-        duration of the call.
+        duration of the call.  The caches, TLBs and branch unit are
+        reached through the kernels of
+        :meth:`~repro.memory.hierarchy.MemoryHierarchy.bind` and
+        :meth:`~repro.branch.unit.BranchUnit.bind`, bound once per call
+        and closed in a ``finally``, which writes their statistics back.
         """
         config = self.config
         self._decode(core.program)
-        access = self.microarch.hierarchy.access_code
-        resolve = self.microarch.branch_unit.resolve_at
         latencies = self.microarch.hierarchy.latencies()
         l2_latency, mem_latency = config.l2_latency, config.mem_latency
         tlb_penalty = config.tlb_miss_latency
@@ -261,168 +263,178 @@ class DetailedSimulator:
         statics = 0
         tr: list[int] = []
 
-        for start, length, next_pc in core.trace_segments(count, tr):
-            segment = (segment_at(start << _KEY_BITS | length)
-                       or self._segment(start, length))
-            statics += segment[1]
-            k = 0
-            for (pc, fetch_addr, fetch_block, mem, src1, src2, rd, pool_index,
-                 occupancy, latency, branch_kind, target) in segment[0]:
-                # ------------------------------------------------------
-                # Fetch
-                # ------------------------------------------------------
-                fetch_cycle = (next_fetch if next_fetch >= redirect
-                               else redirect)
-                if fetch_cycle == bw_cycle:
-                    if bw_count >= fetch_width:
-                        fetch_cycle += 1
+        access, close_access = self.microarch.hierarchy.bind()
+        resolve, close_resolve = self.microarch.branch_unit.bind()
+        try:
+            for start, length, next_pc in core.trace_segments(count, tr):
+                segment = (segment_at(start << _KEY_BITS | length)
+                           or self._segment(start, length))
+                statics += segment[1]
+                k = 0
+                for (pc, fetch_addr, fetch_block, mem, src1, src2, rd,
+                     pool_index, occupancy, latency, branch_kind,
+                     target) in segment[0]:
+                    # ------------------------------------------------------
+                    # Fetch
+                    # ------------------------------------------------------
+                    fetch_cycle = (next_fetch if next_fetch >= redirect
+                                   else redirect)
+                    if fetch_cycle == bw_cycle:
+                        if bw_count >= fetch_width:
+                            fetch_cycle += 1
+                            bw_cycle = fetch_cycle
+                            bw_count = 1
+                        else:
+                            bw_count += 1
+                    else:
                         bw_cycle = fetch_cycle
                         bw_count = 1
-                    else:
-                        bw_count += 1
-                else:
-                    bw_cycle = fetch_cycle
-                    bw_count = 1
-                if fetch_block != last_fetch_block:
-                    last_fetch_block = fetch_block
-                    code = access(fetch_addr, 0)
-                    fetch_accesses += 1
-                    if code:
-                        if code & 1:
-                            itlb_misses += 1
-                            fetch_cycle += tlb_penalty
-                        if code > 1:
-                            l1i_misses += 1
-                            fetch_cycle, stall = mshr_i(
-                                fetch_block, fetch_cycle,
-                                l2_latency if code < 4 else mem_latency)
+                    if fetch_block != last_fetch_block:
+                        last_fetch_block = fetch_block
+                        code = access(fetch_addr, 0)
+                        fetch_accesses += 1
+                        if code:
+                            if code & 1:
+                                itlb_misses += 1
+                                fetch_cycle += tlb_penalty
+                            if code > 1:
+                                l1i_misses += 1
+                                fetch_cycle, stall = mshr_i(
+                                    fetch_block, fetch_cycle,
+                                    l2_latency if code < 4 else mem_latency)
+                                if stall:
+                                    mshr_stalls += 1
+                    next_fetch = fetch_cycle
+
+                    # ------------------------------------------------------
+                    # Dispatch (decode/rename into RUU and LSQ)
+                    # ------------------------------------------------------
+                    dispatch_cycle = fetch_cycle + decode_stages
+                    if len(window) >= ruu_size:
+                        free_at = window_pop()
+                        if free_at > dispatch_cycle:
+                            ruu_stall_cycles += free_at - dispatch_cycle
+                            dispatch_cycle = free_at
+                    if mem and len(lsq) >= lsq_size:
+                        free_at = lsq_pop()
+                        if free_at > dispatch_cycle:
+                            lsq_stall_cycles += free_at - dispatch_cycle
+                            dispatch_cycle = free_at
+
+                    # ------------------------------------------------------
+                    # Operand readiness, then issue on the earliest free unit
+                    # ------------------------------------------------------
+                    ready_cycle = dispatch_cycle
+                    src_ready = reg_ready[src1]
+                    if src_ready > ready_cycle:
+                        ready_cycle = src_ready
+                    src_ready = reg_ready[src2]
+                    if src_ready > ready_cycle:
+                        ready_cycle = src_ready
+                    pool = pools[pool_index]
+                    unit_free = pool[0]
+                    issue_cycle = (ready_cycle if ready_cycle >= unit_free
+                                   else unit_free)
+
+                    # ------------------------------------------------------
+                    # Execute
+                    # ------------------------------------------------------
+                    if mem:
+                        address = tr[k]
+                        k += 1
+                        code = access(address, mem)
+                        if code:
+                            if code & 1:
+                                dtlb_misses += 1
+                            if code > 1:
+                                l1d_misses += 1
+                                l2_accesses += 1
+                                if code > 3:
+                                    l2_misses += 1
+                        if mem == 2:
+                            if written is not None:
+                                written.add(address)
+                            complete_cycle = issue_cycle + 1
+                        elif pending_get(address, -1) > issue_cycle:
+                            store_forwards += 1
+                            complete_cycle = issue_cycle + latencies[code & 1]
+                        elif code < 2:
+                            complete_cycle = issue_cycle + latencies[code]
+                        else:
+                            complete_cycle, stall = mshr_d(
+                                address // l1d_block, issue_cycle,
+                                latencies[code])
                             if stall:
                                 mshr_stalls += 1
-                next_fetch = fetch_cycle
+                    else:
+                        complete_cycle = issue_cycle + latency
 
-                # ------------------------------------------------------
-                # Dispatch (decode/rename into RUU and LSQ)
-                # ------------------------------------------------------
-                dispatch_cycle = fetch_cycle + decode_stages
-                if len(window) >= ruu_size:
-                    free_at = window_pop()
-                    if free_at > dispatch_cycle:
-                        ruu_stall_cycles += free_at - dispatch_cycle
-                        dispatch_cycle = free_at
-                if mem and len(lsq) >= lsq_size:
-                    free_at = lsq_pop()
-                    if free_at > dispatch_cycle:
-                        lsq_stall_cycles += free_at - dispatch_cycle
-                        dispatch_cycle = free_at
+                    # Functional unit occupancy: pipelined units free the
+                    # issue slot next cycle; divides occupy the unit until
+                    # completion.
+                    heapreplace(pool, issue_cycle + occupancy)
+                    reg_ready[rd] = complete_cycle
 
-                # ------------------------------------------------------
-                # Operand readiness, then issue on the earliest free unit
-                # ------------------------------------------------------
-                ready_cycle = dispatch_cycle
-                src_ready = reg_ready[src1]
-                if src_ready > ready_cycle:
-                    ready_cycle = src_ready
-                src_ready = reg_ready[src2]
-                if src_ready > ready_cycle:
-                    ready_cycle = src_ready
-                pool = pools[pool_index]
-                unit_free = pool[0]
-                issue_cycle = (ready_cycle if ready_cycle >= unit_free
-                               else unit_free)
+                    # ------------------------------------------------------
+                    # Branch resolution
+                    # ------------------------------------------------------
+                    if branch_kind >= 0:
+                        if branch_kind == 0:
+                            taken = tr[k]
+                            k += 1
+                            mispredicted = resolve(pc, 0, taken,
+                                                   target if taken
+                                                   else pc + 1)
+                        else:
+                            taken = 1
+                            mispredicted = resolve(pc, branch_kind, 1,
+                                                   next_pc if branch_kind == 2
+                                                   else target)
+                        if mispredicted:
+                            mispredictions += 1
+                            if complete_cycle + mispredict_penalty > redirect:
+                                redirect = complete_cycle + mispredict_penalty
+                        elif taken and single_prediction:
+                            # A correctly predicted taken branch ends the fetch
+                            # group; the target is fetched the following cycle.
+                            if fetch_cycle + 1 > redirect:
+                                redirect = fetch_cycle + 1
 
-                # ------------------------------------------------------
-                # Execute
-                # ------------------------------------------------------
-                if mem:
-                    address = tr[k]
-                    k += 1
-                    code = access(address, mem)
-                    if code:
-                        if code & 1:
-                            dtlb_misses += 1
-                        if code > 1:
-                            l1d_misses += 1
-                            l2_accesses += 1
-                            if code > 3:
-                                l2_misses += 1
+                    # ------------------------------------------------------
+                    # Commit (in order, bounded by commit width)
+                    # ------------------------------------------------------
+                    commit_cycle = complete_cycle + 1
+                    if commit_cycle <= last_commit:
+                        commit_cycle = last_commit
+                        if commits_in_cycle >= commit_width:
+                            commit_cycle += 1
+                            commits_in_cycle = 1
+                        else:
+                            commits_in_cycle += 1
+                    else:
+                        commits_in_cycle = 1
+
                     if mem == 2:
-                        if written is not None:
-                            written.add(address)
-                        complete_cycle = issue_cycle + 1
-                    elif pending_get(address, -1) > issue_cycle:
-                        store_forwards += 1
-                        complete_cycle = issue_cycle + latencies[code & 1]
-                    elif code < 2:
-                        complete_cycle = issue_cycle + latencies[code]
-                    else:
-                        complete_cycle, stall = mshr_d(
-                            address // l1d_block, issue_cycle, latencies[code])
+                        completion, stall = store_push(commit_cycle,
+                                                       latencies[code])
                         if stall:
-                            mshr_stalls += 1
-                else:
-                    complete_cycle = issue_cycle + latency
+                            store_buffer_stalls += 1
+                            commit_cycle += stall
+                            commits_in_cycle = 1
+                        pending_stores[address] = completion
+                        if len(pending_stores) > 2048:
+                            stale = [a for a, t in pending_stores.items()
+                                     if t <= commit_cycle]
+                            for stale_address in stale:
+                                del pending_stores[stale_address]
 
-                # Functional unit occupancy: pipelined units free the issue
-                # slot next cycle; divides occupy the unit until completion.
-                heapreplace(pool, issue_cycle + occupancy)
-                reg_ready[rd] = complete_cycle
-
-                # ------------------------------------------------------
-                # Branch resolution
-                # ------------------------------------------------------
-                if branch_kind >= 0:
-                    if branch_kind == 0:
-                        taken = tr[k]
-                        k += 1
-                        outcome = resolve(pc, 0, taken,
-                                          target if taken else pc + 1)
-                    else:
-                        taken = 1
-                        outcome = resolve(pc, branch_kind, 1,
-                                          next_pc if branch_kind == 2
-                                          else target)
-                    if outcome[2]:
-                        mispredictions += 1
-                        if complete_cycle + mispredict_penalty > redirect:
-                            redirect = complete_cycle + mispredict_penalty
-                    elif taken and single_prediction:
-                        # A correctly predicted taken branch ends the fetch
-                        # group; the target is fetched the following cycle.
-                        if fetch_cycle + 1 > redirect:
-                            redirect = fetch_cycle + 1
-
-                # ------------------------------------------------------
-                # Commit (in order, bounded by commit width)
-                # ------------------------------------------------------
-                commit_cycle = complete_cycle + 1
-                if commit_cycle <= last_commit:
-                    commit_cycle = last_commit
-                    if commits_in_cycle >= commit_width:
-                        commit_cycle += 1
-                        commits_in_cycle = 1
-                    else:
-                        commits_in_cycle += 1
-                else:
-                    commits_in_cycle = 1
-
-                if mem == 2:
-                    completion, stall = store_push(commit_cycle,
-                                                   latencies[code])
-                    if stall:
-                        store_buffer_stalls += 1
-                        commit_cycle += stall
-                        commits_in_cycle = 1
-                    pending_stores[address] = completion
-                    if len(pending_stores) > 2048:
-                        stale = [a for a, t in pending_stores.items()
-                                 if t <= commit_cycle]
-                        for stale_address in stale:
-                            del pending_stores[stale_address]
-
-                last_commit = commit_cycle
-                window_push(commit_cycle)
-                if mem:
-                    lsq_push(commit_cycle)
+                    last_commit = commit_cycle
+                    window_push(commit_cycle)
+                    if mem:
+                        lsq_push(commit_cycle)
+        finally:
+            close_access()
+            close_resolve()
 
         self._next_fetch_cycle = next_fetch
         self._redirect_cycle = redirect

@@ -11,7 +11,11 @@ retire (a structural stall).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+#: Completion cycle of an empty file (later than any cycle).
+_NEVER = math.inf
 
 
 @dataclass
@@ -36,12 +40,25 @@ class MSHRFile:
         self.stats = MSHRStats()
         # Maps block address -> completion cycle.
         self._outstanding: dict[int, int] = {}
+        # A lower bound on the earliest outstanding completion (exact
+        # after every scan): nothing expires before it, so ``_expire``
+        # skips its scan until ``now`` reaches it.
+        self._earliest = _NEVER
 
     def _expire(self, now: int) -> None:
-        if self._outstanding:
-            expired = [blk for blk, t in self._outstanding.items() if t <= now]
-            for blk in expired:
-                del self._outstanding[blk]
+        if now < self._earliest:
+            return
+        outstanding = self._outstanding
+        expired = []
+        earliest = _NEVER
+        for blk, t in outstanding.items():
+            if t <= now:
+                expired.append(blk)
+            elif t < earliest:
+                earliest = t
+        for blk in expired:
+            del outstanding[blk]
+        self._earliest = earliest
 
     def outstanding(self, now: int) -> int:
         """Number of misses still in flight at cycle ``now``."""
@@ -64,25 +81,23 @@ class MSHRFile:
 
         stall = 0
         if len(self._outstanding) >= self.entries:
+            # Every entry left is later than ``now``, so waiting for the
+            # earliest one to complete frees at least that entry.
             earliest = min(self._outstanding.values())
-            stall = max(0, earliest - now)
+            stall = earliest - now
             self.stats.structural_stalls += 1
             self.stats.stall_cycles += stall
             self._expire(earliest)
-            # If expiry did not free an entry (all completions in the
-            # future beyond ``earliest``), drop the oldest entry anyway --
-            # its data has been requested and will arrive regardless; we
-            # only lose merge opportunities, not correctness.
-            if len(self._outstanding) >= self.entries:
-                oldest = min(self._outstanding, key=self._outstanding.get)
-                del self._outstanding[oldest]
         ready = now + stall + latency
         self._outstanding[block] = ready
+        if ready < self._earliest:
+            self._earliest = ready
         self.stats.allocations += 1
         return ready, stall
 
     def flush(self) -> None:
         self._outstanding.clear()
+        self._earliest = _NEVER
 
     def reset_stats(self) -> None:
         self.stats = MSHRStats()

@@ -11,6 +11,7 @@ occupied entry carries the cycle at which it finishes writing back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 @dataclass
@@ -28,12 +29,13 @@ class StoreBuffer:
             raise ValueError("store buffer entry count must be positive")
         self.entries = entries
         self.stats = StoreBufferStats()
-        # Completion cycles of in-flight stores (unsorted; small).
+        # Completion cycles of in-flight stores, a min-heap.
         self._inflight: list[int] = []
 
     def _expire(self, now: int) -> None:
-        if self._inflight:
-            self._inflight = [t for t in self._inflight if t > now]
+        inflight = self._inflight
+        while inflight and inflight[0] <= now:
+            heappop(inflight)
 
     def occupancy(self, now: int) -> int:
         self._expire(now)
@@ -49,15 +51,14 @@ class StoreBuffer:
         self._expire(now)
         stall = 0
         if len(self._inflight) >= self.entries:
-            earliest = min(self._inflight)
-            stall = max(0, earliest - now)
+            # Every entry left is later than ``now``, so waiting for the
+            # earliest one to drain frees at least that entry.
+            stall = self._inflight[0] - now
             self.stats.full_stalls += 1
             self.stats.stall_cycles += stall
-            self._expire(earliest)
-            if len(self._inflight) >= self.entries:
-                self._inflight.remove(min(self._inflight))
+            self._expire(self._inflight[0])
         completion = now + stall + drain_latency
-        self._inflight.append(completion)
+        heappush(self._inflight, completion)
         self.stats.stores += 1
         return completion, stall
 

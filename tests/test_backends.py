@@ -153,6 +153,84 @@ class TestFileWorkQueue:
         assert queue.claim_next()[0] == name
         assert queue.requeue_stale(lease_seconds=30) == []
 
+    @pytest.mark.parametrize("retaken", [False, True])
+    def test_interleaved_recoverers_requeue_a_stale_claim_once(
+            self, monkeypatch, retaken):
+        """Recoverer B has found a claim stale; before B takes it,
+        recoverer A requeues it (and, with ``retaken``, a worker claims
+        the job again).  B must requeue nothing: one ``pending/`` copy,
+        and the worker's fresh claim is left where it is."""
+        from repro.backends import queue as queue_module
+
+        a = FileWorkQueue()
+        name = a.submit(_micro_spec())
+        a.claim_next()
+        os.utime(a._path("claimed", name), (time.time() - 60,) * 2)
+        b = FileWorkQueue(a.directory)
+        real_rename, fired = os.rename, []
+
+        def rename(src, dst):
+            if not fired:  # B's take: let A (and a worker) go first
+                fired.append(src)
+                assert a.requeue_stale(lease_seconds=1) == [name]
+                if retaken:
+                    assert a.claim_next()[0] == name
+            real_rename(src, dst)
+
+        monkeypatch.setattr(queue_module.os, "rename", rename)
+        assert b.requeue_stale(lease_seconds=1) == []
+        assert fired
+        pending = list((a.directory / "pending").iterdir())
+        claimed = list((a.directory / "claimed").iterdir())
+        if retaken:
+            assert pending == []
+            assert claimed == [a._path("claimed", name)]
+            assert a.lookup(name)[1]["attempts"] == 1
+        else:
+            assert pending == [a._path("pending", name)]
+            assert claimed == []
+
+    def test_recoverer_holding_a_claim_blocks_others(self, monkeypatch):
+        """Once B has taken and stamped a stale claim, A finds nothing to
+        recover while B reads it; B requeues it exactly once."""
+        from repro.backends import queue as queue_module
+
+        a = FileWorkQueue()
+        name = a.submit(_micro_spec())
+        a.claim_next()
+        os.utime(a._path("claimed", name), (time.time() - 60,) * 2)
+        b = FileWorkQueue(a.directory)
+        real_read, seen = queue_module._read_json, []
+
+        def read(path):
+            if not seen:  # B's read of its taken claim: let A try now
+                seen.append(None)
+                seen[0] = a.requeue_stale(lease_seconds=1)
+            return real_read(path)
+
+        monkeypatch.setattr(queue_module, "_read_json", read)
+        assert b.requeue_stale(lease_seconds=1) == [name]
+        assert seen == [[]]
+        assert [p.name for p in (a.directory / "pending").iterdir()] == [
+            f"{name}.json"]
+        assert list((a.directory / "claimed").iterdir()) == []
+
+    def test_abandoned_recovery_is_recovered_after_a_lease(self):
+        """A recoverer that died after taking a claim leaves a
+        ``*.recovering`` file; it is requeued once it is stale."""
+        queue = FileWorkQueue()
+        name = queue.submit(_micro_spec())
+        queue.claim_next()
+        orphan = queue._path("claimed", name).with_name(
+            f"{name}.json.dead.recovering")
+        os.rename(queue._path("claimed", name), orphan)
+        assert queue.requeue_stale(lease_seconds=30) == []
+        os.utime(orphan, (time.time() - 60,) * 2)
+        assert queue.requeue_stale(lease_seconds=1) == [name]
+        assert list((queue.directory / "claimed").iterdir()) == []
+        assert queue.lookup(name) == ("pending", queue.lookup(name)[1])
+        assert queue.lookup(name)[1]["attempts"] == 1
+
     def test_record_roundtrip(self):
         queue = FileWorkQueue()
         job = {"kind": "run", "payload": {"x": 1}, "submitted_at": 1.0}
