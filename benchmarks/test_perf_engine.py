@@ -17,13 +17,18 @@ behaviourally diverse subset of the suite and records the rates into
 * functional warming — cold caches and predictors, full event stream,
   interpreter vs fastpath engine, asserting the fastpath's >= 3x
   speedup (the acceptance criterion of the engine work); measured on a
-  busy 2-vCPU x86 container at ~0.13-0.15M instr/s interpreted vs
-  0.87-1.6M instr/s fastpath (geomean 8.7x);
+  busy 2-vCPU x86 container at ~0.19-0.22M instr/s interpreted vs
+  1.2-3.4M instr/s fastpath (geomean 10.2x, with line-granular fetch
+  events);
 * detailed simulation — ``DetailedSimulator.run`` in the ``dense``
   shape (one 2000-instruction warming call, then back-to-back
   50-instruction units), step-fed (interpreter core) vs block-fed
-  (fastpath core), with identical counters asserted (measured 2.0x
+  (fastpath core), with identical counters asserted (measured 2.1x
   geomean on the same host).
+
+``harness.runtime.measure_rates``, behind Table 6 and Figure 4, times
+each mode after an untimed pass that compiles its blocks; on the same
+host it gave S_D = 0.16 and S_FW = 0.43 (``results/table6_runtimes.txt``).
 
 Ratios are measured inside one process on one core, so they are
 meaningful on the single-core CI box; the *absolute* rates are

@@ -46,8 +46,17 @@ cache state, so branch events batch separately without reordering risk.
 Event encodings (shared with the ``warm_many`` implementations):
 
 * memory events — one int per access, ``address << 2 | kind`` with kind
-  0 = instruction fetch, 1 = load, 2 = store; fetches stay one event per
-  instruction, and ``MemoryHierarchy.warm_many`` collapses repeats of a line;
+  0 = instruction fetch, 1 = load, 2 = store.  Fetches are line-granular:
+  a warm closure is compiled for one fetch unit, the hierarchy's
+  ``gcd(L1I line, I-TLB page)``, and emits a fetch for its block's first
+  instruction and then only where ``pc * INST_SIZE // unit`` changes; a
+  self-loop block within one unit emits its fetch once per call, not
+  once per iteration.  A skipped fetch hits the line and page of the
+  fetch before it, which only data events (never touching the I-TLB or
+  L1I) separate from it, so it would only have been counted:
+  ``warm_many`` takes the number of fetches the events stand for, one
+  per instruction executed, and collapses repeats of a line across
+  blocks;
 * branch events — four ints per branch, ``(kind, pc, taken, target)``
   with kind 0 = conditional, 1 = JAL, 2 = JR, 3 = JUMP.
 """
@@ -147,62 +156,63 @@ def _align(expr: str) -> str:
 
 
 class CompiledBlock:
-    """One compiled basic block: metadata plus its closures."""
+    """One compiled basic block: metadata plus one variant's closure."""
 
-    __slots__ = ("start", "length", "halts", "loops", "run_plain",
-                 "run_warm", "run_trace")
+    __slots__ = ("start", "length", "halts", "loops", "run")
 
     def __init__(self, start: int, length: int, halts: bool, loops: bool,
-                 run_plain, run_warm) -> None:
+                 run) -> None:
         self.start = start
         self.length = length
         self.halts = halts
         #: Self-loop block: its plain and warm closures take a trailing
         #: ``cap`` (>= 1) and return ``(next_pc, iterations run)``.
         self.loops = loops
-        #: ``run_plain(ir, fr, mem) -> next_pc`` — architectural update only.
-        self.run_plain = run_plain
-        #: ``run_warm(ir, fr, mem, ev, ev2) -> next_pc`` — also appends
-        #: the block's warming events to ``ev`` (memory) / ``ev2`` (branch).
-        self.run_warm = run_warm
-        #: ``run_trace(ir, fr, mem, tr) -> next_pc`` — also appends, in
-        #: program order, each load/store address and each conditional
-        #: branch's taken bit (1/0) to ``tr``: the dynamic values the
-        #: detailed timing model needs.  Compiled on first use by
-        #: :meth:`CompiledProgram.trace_at`, so functional-only runs
-        #: never pay for it.
-        self.run_trace = None
+        #: The closure, with the signature of its variant in :data:`_PARAMS`.
+        self.run = run
 
 
-#: Parameter lists of the closure variants.
+#: Parameter lists of the closure variants:
+#:
+#: * ``plain(ir, fr, mem) -> next_pc`` — architectural update only;
+#: * ``warm(ir, fr, mem, ev, ev2) -> next_pc`` — also appends the block's
+#:   warming events to ``ev`` (memory, line-granular fetches for the fetch
+#:   unit it was compiled for) and ``ev2`` (branch);
+#: * ``trace(ir, fr, mem, tr) -> next_pc`` — also appends, in program
+#:   order, each load/store address and each conditional branch's taken
+#:   bit (1/0) to ``tr``: the dynamic values the detailed timing model
+#:   needs.
 _PARAMS = {"plain": "ir, fr, mem", "warm": "ir, fr, mem, ev, ev2",
            "trace": "ir, fr, mem, tr"}
 
 
 def _generate(program: Program, start: int, leaders: frozenset[int],
-              variants: tuple[str, ...]):
-    """Generate the block beginning at static index ``start``.
+              variant: str, unit: int = 0):
+    """Generate one closure variant of the block at static index ``start``.
 
     The block extends until a control-flow instruction, ``HALT``, the
     next leader, the end of the program, or :data:`MAX_BLOCK_LENGTH`.
-    Returns ``(length, halts, loops, source)``: the function source of
-    each requested closure variant (keys of :data:`_PARAMS`), in one
-    string; ``loops`` is :attr:`CompiledBlock.loops`.
+    ``unit`` is the fetch unit of a ``warm`` variant (see the module
+    docstring's event encodings).  Returns ``(length, halts, loops,
+    source)``: the function source of the ``variant`` closure (a key of
+    :data:`_PARAMS`); ``loops`` is :attr:`CompiledBlock.loops`.
     """
     instructions = program.instructions
     size = len(instructions)
     arch: list[str] = []        # statements shared by every variant
     # Variant-specific statements keyed by the arch position they precede.
-    extra: dict[str, dict[int, list[str]]] = {v: {} for v in _PARAMS}
+    extra: dict[int, list[str]] = {}
     pending: list[int] = []     # static memory events awaiting a flush
+    last_line = -1              # fetch unit of the last pending fetch
     load_count = 0
 
     def emit(line: str | None) -> None:
         if line is not None:
             arch.append(line)
 
-    def emit_event(variant: str, line: str) -> None:
-        extra[variant].setdefault(len(arch), []).append(line)
+    def emit_event(target: str, line: str) -> None:
+        if target == variant:
+            extra.setdefault(len(arch), []).append(line)
 
     def flush_statics() -> None:
         if not pending:
@@ -223,7 +233,9 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
             break  # fall into the next block; keep blocks non-overlapping
         inst = instructions[pc]
         op = inst.op
-        pending.append((pc * INST_SIZE) << 2 | EVENT_IFETCH)
+        if variant == "warm" and pc * INST_SIZE // unit != last_line:
+            last_line = pc * INST_SIZE // unit
+            pending.append((pc * INST_SIZE) << 2 | EVENT_IFETCH)
         rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
 
         if op is Opcode.ADDI:
@@ -362,81 +374,86 @@ def _generate(program: Program, start: int, leaders: frozenset[int],
         flush_statics()
         terminator = dict.fromkeys(_PARAMS, [f"return {pc}"])
 
-    def render(variant: str) -> str:
-        events = extra[variant]
-        iterates = loops and variant != "trace"
-        lines = [f"def _{variant}({_PARAMS[variant]}"
-                 f"{', cap' if iterates else ''}):"]
-        if any("ap(" in s for stmts in events.values() for s in stmts):
-            lines.append(f"    ap = {'ev' if variant == 'warm' else 'tr'}"
-                         ".append")
-        if load_count:
-            lines.append("    mg = mem.get")
-        indent = " " * 4
-        if iterates:
-            lines += ["    n = 0", "    while n < cap:"]
-            indent *= 2
-        for position, statement in enumerate(arch):
-            lines.extend(indent + line for line in events.get(position, ()))
-            lines.append(indent + statement)
-        lines.extend(indent + line for line in events.get(len(arch), ()))
-        lines.extend(indent + line for line in terminator[variant])
-        if iterates:
-            lines.append(f"    return {start}, n")
-        return "\n".join(lines)
-
-    return length, halts, loops, "\n\n".join(map(render, variants))
-
-
-def _exec(program: Program, start: int, source: str) -> dict:
-    namespace: dict = {}
-    exec(compile(source, f"<fastpath:{program.name}:{start}>", "exec"),
-         namespace)
-    return namespace
-
-
-def _compile_block(program: Program, start: int,
-                   leaders: frozenset[int]) -> CompiledBlock:
-    """Compile the plain and warm closures of the block at ``start``."""
-    length, halts, loops, source = _generate(program, start, leaders,
-                                             ("plain", "warm"))
-    namespace = _exec(program, start, source)
-    return CompiledBlock(start, length, halts, loops,
-                         namespace["_plain"], namespace["_warm"])
+    iterates = loops and variant != "trace"
+    lines = [f"def _{variant}({_PARAMS[variant]}"
+             f"{', cap' if iterates else ''}):"]
+    if any("ap(" in s for stmts in extra.values() for s in stmts):
+        lines.append(f"    ap = {'ev' if variant == 'warm' else 'tr'}.append")
+    if load_count:
+        lines.append("    mg = mem.get")
+    indent = " " * 4
+    if iterates:
+        if variant == "warm" and start * INST_SIZE // unit == last_line:
+            # The block is one fetch unit, so only the first iteration of
+            # a call can fetch a new one: its one fetch moves before the
+            # loop.
+            fetch = f"ap({start * INST_SIZE << 2 | EVENT_IFETCH})"
+            next(stmts for stmts in extra.values()
+                 if fetch in stmts).remove(fetch)
+            lines.append("    " + fetch)
+        lines += ["    n = 0", "    while n < cap:"]
+        indent *= 2
+    for position, statement in enumerate(arch):
+        lines.extend(indent + line for line in extra.get(position, ()))
+        lines.append(indent + statement)
+    lines.extend(indent + line for line in extra.get(len(arch), ()))
+    lines.extend(indent + line for line in terminator[variant])
+    if iterates:
+        lines.append(f"    return {start}, n")
+    return length, halts, loops, "\n".join(lines)
 
 
 class CompiledProgram:
-    """All compiled blocks of one program, filled lazily by start pc."""
+    """All compiled blocks of one program, filled lazily by start pc.
+
+    Each closure variant has its own table: plain and trace closures are
+    compiled once per program, warm closures once per fetch unit (a
+    program warmed under two cache geometries gets two warm closures).
+    """
 
     def __init__(self, program: Program) -> None:
         self.program = program
         self.static_size = len(program.instructions)
         self.leaders = frozenset(program.basic_block_leaders())
-        self._blocks: dict[int, CompiledBlock] = {}
-        #: The blocks whose ``run_trace`` is compiled, by start pc.
+        #: Blocks whose closure is the plain variant, by start pc.
+        self.plain: dict[int, CompiledBlock] = {}
+        #: Blocks whose closure is the trace variant, by start pc.
         self.traced: dict[int, CompiledBlock] = {}
+        #: Blocks whose closure is the warm variant, by fetch unit and
+        #: then start pc.
+        self.warmed: dict[int, dict[int, CompiledBlock]] = {}
+
+    def _compile(self, table: dict, pc: int, variant: str,
+                 unit: int = 0) -> CompiledBlock:
+        length, halts, loops, source = _generate(
+            self.program, pc, self.leaders, variant, unit)
+        namespace: dict = {}
+        exec(compile(source, f"<fastpath:{self.program.name}:{pc}>", "exec"),
+             namespace)
+        table[pc] = CompiledBlock(pc, length, halts, loops,
+                                  namespace[f"_{variant}"])
+        return table[pc]
 
     def block_at(self, pc: int) -> CompiledBlock:
-        block = self._blocks.get(pc)
-        if block is None:
-            block = _compile_block(self.program, pc, self.leaders)
-            self._blocks[pc] = block
-        return block
+        """The block at ``pc`` with its plain closure."""
+        return self.plain.get(pc) or self._compile(self.plain, pc, "plain")
 
     def trace_at(self, pc: int) -> CompiledBlock:
-        """:meth:`block_at`, with the block's ``run_trace`` compiled."""
-        block = self.traced.get(pc)
-        if block is None:
-            block = self.block_at(pc)
-            source = _generate(self.program, pc, self.leaders,
-                               ("trace",))[3]
-            block.run_trace = _exec(self.program, pc, source)["_trace"]
-            self.traced[pc] = block
-        return block
+        """The block at ``pc`` with its trace closure, compiled on first
+        use, so functional-only runs never pay for it."""
+        return self.traced.get(pc) or self._compile(self.traced, pc, "trace")
+
+    def warm_at(self, pc: int, unit: int) -> CompiledBlock:
+        """The block at ``pc`` with its warm closure for fetch unit
+        ``unit``."""
+        blocks = self.warmed.setdefault(unit, {})
+        return blocks.get(pc) or self._compile(blocks, pc, "warm", unit)
 
     @property
     def compiled_blocks(self) -> int:
-        return len(self._blocks)
+        """Closures compiled so far, over every variant and unit."""
+        return (len(self.plain) + len(self.traced)
+                + sum(map(len, self.warmed.values())))
 
 
 def compiled_program(program: Program) -> CompiledProgram:
@@ -515,12 +532,11 @@ class FastCore(FunctionalCore):
             if executed + length > budget:
                 break
             if block.loops:
-                pc, n = block.run_plain(ir, fr, mem,
-                                        (budget - executed) // length)
+                pc, n = block.run(ir, fr, mem, (budget - executed) // length)
                 executed += n * length
                 self.blocks_executed += n
             else:
-                pc = block.run_plain(ir, fr, mem)
+                pc = block.run(ir, fr, mem)
                 executed += length
                 self.blocks_executed += 1
                 if block.halts:
@@ -538,13 +554,16 @@ class FastCore(FunctionalCore):
             return 0
         state = self.state
         budget = self._budget(count)
-        executed = 0
+        executed = flushed = blocks_executed = 0
         ir, fr, mem = state.int_regs, state.fp_regs, state.memory
-        block_at = self._compiled.block_at
-        size = self._compiled.static_size
         microarch = warmer.microarch
         hierarchy = microarch.hierarchy
         branch_unit = microarch.branch_unit
+        compiled = self._compiled
+        unit = hierarchy.fetch_unit
+        blocks = compiled.warmed.setdefault(unit, {})
+        warm_at = compiled.warm_at
+        size = compiled.static_size
         events: list[int] = []
         branch_events: list[int] = []
         pc = state.pc
@@ -553,30 +572,32 @@ class FastCore(FunctionalCore):
             if pc < 0 or pc >= size:
                 state.halted = halted = True
                 break
-            block = block_at(pc)
+            block = blocks.get(pc) or warm_at(pc, unit)
             length = block.length
             if executed + length > budget:
                 break
             if block.loops:
                 # <= 2 * length memory events per iteration
-                pc, n = block.run_warm(
+                pc, n = block.run(
                     ir, fr, mem, events, branch_events,
                     min(budget - executed, FLUSH_EVENTS) // length)
                 executed += n * length
-                self.blocks_executed += n
+                blocks_executed += n
             else:
-                pc = block.run_warm(ir, fr, mem, events, branch_events)
+                pc = block.run(ir, fr, mem, events, branch_events)
                 executed += length
-                self.blocks_executed += 1
+                blocks_executed += 1
                 if block.halts:
                     state.halted = halted = True
             if len(events) >= FLUSH_EVENTS:
-                self._flush_events(hierarchy, branch_unit,
-                                   events, branch_events, written)
+                self._flush_events(hierarchy, branch_unit, events,
+                                   branch_events, executed - flushed, written)
+                flushed = executed
         state.pc = pc
         self.instructions_retired += executed
+        self.blocks_executed += blocks_executed
         self._flush_events(hierarchy, branch_unit, events, branch_events,
-                           written)
+                           executed - flushed, written)
         warmer.instructions_warmed += executed
         if executed < count and not self.halted:
             stepped = FunctionalCore.run_warmed(self, count - executed,
@@ -586,7 +607,7 @@ class FastCore(FunctionalCore):
         return executed
 
     def trace_segments(self, count, tr):
-        """Whole compiled blocks (``run_trace``) while the budget covers
+        """Whole compiled blocks (trace closures) while the budget covers
         them; a block that would overrun it is stepped instruction by
         instruction, so at most ``MAX_BLOCK_LENGTH - 1`` instructions of
         a call take the interpreter path."""
@@ -607,7 +628,7 @@ class FastCore(FunctionalCore):
             if executed + length > budget:
                 break
             tr.clear()
-            state.pc = next_pc = block.run_trace(ir, fr, mem, tr)
+            state.pc = next_pc = block.run(ir, fr, mem, tr)
             executed += length
             self.instructions_retired += length
             self.blocks_executed += 1
@@ -622,14 +643,16 @@ class FastCore(FunctionalCore):
 
     @staticmethod
     def _flush_events(hierarchy, branch_unit, events, branch_events,
-                      written) -> None:
+                      fetches, written) -> None:
         """Drain buffered warming events into the bulk warmers.
 
-        Memory events must drain before any per-instruction fallback
-        touches the hierarchy, so callers flush at every boundary.
+        ``fetches`` is the number of instructions the events cover (one
+        fetch each).  Memory events must drain before any
+        per-instruction fallback touches the hierarchy, so callers flush
+        at every boundary.
         """
         if events:
-            hierarchy.warm_many(events)
+            hierarchy.warm_many(events, fetches)
             if written is not None:
                 add = written.add
                 for event in events:

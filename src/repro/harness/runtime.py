@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from repro.config.machines import MachineConfig
 from repro.core.perf_model import SimulatorRates
@@ -48,39 +49,51 @@ class MeasuredRates:
         )
 
 
+def _timed(prepare) -> tuple[int, float]:
+    """``(instructions, seconds)`` of a timed pass.
+
+    ``prepare()`` builds fresh state and returns the pass as a callable.
+    The first pass runs untimed, so the blocks the mode executes are
+    compiled (compiled closures are memoized per program) and the rate
+    does not depend on what earlier calls left compiled.
+    """
+    prepare()()
+    run = prepare()
+    start = time.perf_counter()
+    executed = run()
+    return executed, time.perf_counter() - start
+
+
 def measure_rates(program: Program, machine: MachineConfig,
                   instructions: int = 60_000) -> MeasuredRates:
     """Measure functional / warming / detailed rates on one program.
 
     Each mode executes ``instructions`` dynamic instructions from the
-    start of the program (restarting the functional core each time so all
-    three measurements cover the same stream).
+    start of the program (on a fresh core each time, so all three
+    measurements cover the same stream), once untimed and then timed.
     """
     if instructions <= 0:
         raise ValueError("instructions must be positive")
 
-    core = create_core(program)
-    start = time.perf_counter()
-    executed = core.run(instructions)
-    functional_seconds = time.perf_counter() - start
+    def functional():
+        return partial(create_core(program).run, instructions)
+
+    def warming():
+        warmer = FunctionalWarmer(MicroarchState(machine))
+        return partial(create_core(program).run_warmed, instructions, warmer)
+
+    def detailed():
+        simulator = DetailedSimulator(machine, MicroarchState(machine))
+        core = create_core(program)
+        return lambda: simulator.simulate(core, instructions).instructions
+
+    executed, functional_seconds = _timed(functional)
     if executed == 0:
         raise ValueError("program executed no instructions")
-
-    core = create_core(program)
-    warmer = FunctionalWarmer(MicroarchState(machine))
-    start = time.perf_counter()
-    executed_warm = core.run_warmed(instructions, warmer)
-    warming_seconds = time.perf_counter() - start
-
-    core = create_core(program)
-    microarch = MicroarchState(machine)
-    detailed = DetailedSimulator(machine, microarch)
-    start = time.perf_counter()
-    counters = detailed.simulate(core, instructions)
-    detailed_seconds = time.perf_counter() - start
-
+    executed_warm, warming_seconds = _timed(warming)
+    executed_detailed, detailed_seconds = _timed(detailed)
     return MeasuredRates(
         functional_ips=executed / max(functional_seconds, 1e-9),
         warming_ips=executed_warm / max(warming_seconds, 1e-9),
-        detailed_ips=counters.instructions / max(detailed_seconds, 1e-9),
+        detailed_ips=executed_detailed / max(detailed_seconds, 1e-9),
     )

@@ -270,18 +270,33 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Bulk functional warming
     # ------------------------------------------------------------------
-    def warm_many(self, events: list[int]) -> None:
+    @property
+    def fetch_unit(self) -> int:
+        """``gcd(L1I line, I-TLB page)``: two fetch addresses in the same
+        ``address // fetch_unit`` share both their line and their page."""
+        return math.gcd(self.l1i.block_bytes, self.itlb.page_bytes)
+
+    def warm_many(self, events: list[int], fetches: int) -> None:
         """Replay an ordered stream of warming accesses in one call.
 
         ``events`` holds one int per access, ``address << 2 | kind``
         with kind 0 = instruction fetch, 1 = load, 2 = store (the
         encoding produced by the trace-compiled engine, see
-        :mod:`repro.functional.fastpath`).  The effect — tag arrays, LRU
-        order, dirty bits, and statistics — is exactly that of calling
-        :meth:`access_instruction` / :meth:`access_data` per event; the
-        tag-lookup logic of :class:`SetAssociativeCache` and :class:`TLB`
-        is inlined here (structure state hoisted into locals, no
-        per-access :class:`AccessResult`) because this loop runs once per
+        :mod:`repro.functional.fastpath`).  ``fetches`` is the number of
+        instruction fetches the stream stands for: the engine emits a
+        fetch event only where a block's fetch moves to a new
+        :attr:`fetch_unit`, because every fetch it leaves out would hit
+        the line and page of the fetch before it (only data events, which
+        never touch the I-TLB or L1I, separate them) and only count an
+        access.  A stream with one event per fetch passes their number.
+
+        The effect — tag arrays, LRU order, dirty bits, and statistics —
+        is exactly that of calling :meth:`access_instruction` per fetch
+        and :meth:`access_data` per data event, in order; the tag-lookup
+        logic of :class:`SetAssociativeCache` and :class:`TLB` is
+        inlined here (structure state hoisted into locals, the MRU entry
+        of a set checked before scanning it, no per-access
+        :class:`AccessResult`) because this loop runs for every
         functionally warmed instruction.
 
         Event order is preserved, which matters: the instruction and
@@ -289,17 +304,16 @@ class MemoryHierarchy:
         its LRU state.  The inlined miss paths assume write-allocate
         caches, the only kind ``__init__`` builds.
 
-        A fetch of the same line as the previous fetch *in this call* only
-        counts an I-TLB and an L1I access: data events never touch the
-        I-TLB or L1I, and an L1I hit never reaches L2, so that line and
-        its page are still MRU in their sets.  Keying on ``address //
-        gcd(line, page)`` keeps this exact for a page smaller than a
-        line.  Likewise a data event on the same ``address // gcd(L1D
-        line, D-TLB page)`` key as the previous data event in this call
-        only counts a D-TLB and an L1D access (and dirties that MRU line
-        on a store): fetches never touch the D-TLB or L1D, and an L1D hit
-        never reaches L2.  The state is per call, because a detailed run,
-        a restore or a flush may touch the L1s between calls.
+        A fetch event on the same :attr:`fetch_unit` as the previous fetch
+        event *in this call* is skipped for the same reason: data events
+        never touch the I-TLB or L1I, and an L1I hit never reaches L2, so
+        that line and its page are still MRU in their sets.  Likewise a
+        data event on the same ``address // gcd(L1D line, D-TLB page)``
+        key as the previous data event in this call only counts a D-TLB
+        and an L1D access (and dirties that MRU line on a store): fetches
+        never touch the D-TLB or L1D, and an L1D hit never reaches L2.
+        The state is per call, because a detailed run, a restore or a
+        flush may touch the L1s between calls.
         """
         itlb, dtlb = self.itlb, self.dtlb
         l1i, l1d, l2 = self.l1i, self.l1d, self.l2
@@ -320,11 +334,11 @@ class MemoryHierarchy:
 
         # event // unit == address // gcd(line, page) for a fetch, and
         # also for a data event (its kind bits 1 or 2 never carry).
-        fetch_unit = math.gcd(l1i_block, itlb_page) << 2
+        fetch_unit = self.fetch_unit << 2
         data_unit = math.gcd(l1d_block, dtlb_page) << 2
         last_line = last_data = -1
         last_set = None
-        fetches = itlb_miss = dtlb_acc = dtlb_miss = 0
+        itlb_miss = dtlb_acc = dtlb_miss = 0
         l1i_miss = l1i_evict = l1i_wb = 0
         l1d_miss = l1d_evict = l1d_wb = 0
         l2_acc = l2_miss = l2_evict = l2_wb = 0
@@ -332,7 +346,6 @@ class MemoryHierarchy:
         for event in events:
             kind = event & 3
             if kind == 0:
-                fetches += 1
                 line = event // fetch_unit
                 if line == last_line:
                     continue
@@ -342,23 +355,24 @@ class MemoryHierarchy:
                 vpn = address // itlb_page
                 tlb_set = itlb_sets[vpn % itlb_nsets]
                 tag = vpn // itlb_nsets
-                if tag in tlb_set:
-                    if tlb_set[-1] != tag:
+                if not tlb_set or tlb_set[-1] != tag:
+                    if tag in tlb_set:
                         tlb_set.remove(tag)
-                        tlb_set.append(tag)
-                else:
-                    itlb_miss += 1
-                    if len(tlb_set) >= itlb_assoc:
-                        tlb_set.pop(0)
+                    else:
+                        itlb_miss += 1
+                        if len(tlb_set) >= itlb_assoc:
+                            tlb_set.pop(0)
                     tlb_set.append(tag)
                 # L1I
                 block = address // l1i_block
                 cache_set = l1i_sets[block % l1i_nsets]
                 tag = block // l1i_nsets
-                for i, entry in enumerate(cache_set):
+                if cache_set and cache_set[-1][0] == tag:
+                    continue
+                for entry in cache_set:
                     if entry[0] == tag:
-                        if i != len(cache_set) - 1:
-                            cache_set.append(cache_set.pop(i))
+                        cache_set.remove(entry)
+                        cache_set.append(entry)
                         break
                 else:
                     l1i_miss += 1
@@ -401,14 +415,13 @@ class MemoryHierarchy:
                 vpn = address // dtlb_page
                 tlb_set = dtlb_sets[vpn % dtlb_nsets]
                 tag = vpn // dtlb_nsets
-                if tag in tlb_set:
-                    if tlb_set[-1] != tag:
+                if not tlb_set or tlb_set[-1] != tag:
+                    if tag in tlb_set:
                         tlb_set.remove(tag)
-                        tlb_set.append(tag)
-                else:
-                    dtlb_miss += 1
-                    if len(tlb_set) >= dtlb_assoc:
-                        tlb_set.pop(0)
+                    else:
+                        dtlb_miss += 1
+                        if len(tlb_set) >= dtlb_assoc:
+                            tlb_set.pop(0)
                     tlb_set.append(tag)
                 # L1D
                 block = address // l1d_block

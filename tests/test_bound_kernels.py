@@ -152,7 +152,8 @@ class TestMemoryKernel:
                 assert access(address, kind) == reference.access_code(
                     address, kind), (address, kind)
             close()
-            bulk.warm_many([address << 2 | kind for address, kind in chunk])
+            bulk.warm_many([address << 2 | kind for address, kind in chunk],
+                           sum(1 for _, kind in chunk if kind == 0))
             # Evict the chunk's last data line between binds (a new bind
             # must not treat its line as a repeat).
             data = [address for address, kind in chunk if kind]

@@ -131,12 +131,18 @@ class TestEngineSelection:
 # ----------------------------------------------------------------------
 # Bulk warmers against their per-access specifications
 # ----------------------------------------------------------------------
+#: Hand-built I-TLB page / L1I line geometries: a page smaller than a
+#: line, a page that does not divide a line, and fetch units
+#: (``gcd(line, page)``) of exactly one instruction and of less than one.
+HAND_BUILT = {"page16-line64": (16, 64), "page48-line32": (48, 32),
+              "page12-line32": (12, 32), "page2-line32": (2, 32)}
+
+
 def _geometry(name: str):
-    """A registered machine, or a hand-built one whose I-TLB page is
-    smaller than (or does not divide) its L1I line."""
+    """A registered machine, or a hand-built one from :data:`HAND_BUILT`."""
     if name in CONFIGURATIONS:
         return get_config(name)
-    page, line = {"page16-line64": (16, 64), "page48-line32": (48, 32)}[name]
+    page, line = HAND_BUILT[name]
     return dataclasses.replace(
         scaled_8way(), name=name,
         l1i=CacheConfig(1024, 2, block_bytes=line),
@@ -176,6 +182,11 @@ def _sequential_stream(hierarchy, rng, length):
         else:
             pc = rng.randrange(0, 1 << 16, INST_SIZE)
     return events
+
+
+def _fetch_count(events):
+    """The fetches a stream with one event per fetch stands for."""
+    return sum(1 for event in events if event & 3 == EVENT_IFETCH)
 
 
 def _warm_event(unit, kind, pc, taken, target):
@@ -251,7 +262,7 @@ class TestWarmManyEquivalence:
                 else:
                     reference.access_data(event >> 2,
                                           event & 3 == EVENT_STORE)
-            bulk.warm_many(chunk)
+            bulk.warm_many(chunk, _fetch_count(chunk))
             # Evict the last fetched line between calls, so a call that
             # starts on that line must not treat it as a repeat.
             fetches = [e >> 2 for e in chunk if e & 3 == EVENT_IFETCH]
@@ -286,7 +297,7 @@ class TestWarmManyEquivalence:
                 reference.access_instruction(address)
             else:
                 reference.access_data(address, kind == EVENT_STORE)
-        bulk.warm_many(events)
+        bulk.warm_many(events, _fetch_count(events))
         assert bulk.snapshot_state() == reference.snapshot_state()
         assert bulk.stats_summary() == reference.stats_summary()
         for name in ("l1i", "l1d", "l2"):
@@ -468,6 +479,47 @@ class TestExecutionEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Line-granular fetch events (warm closures compiled per fetch unit)
+# ----------------------------------------------------------------------
+def _assert_warmed_like_interpreter(program, config):
+    """Warm ``program`` under ``config`` with both engines, in budgets
+    that cut blocks and in one run to the end: identical architectural
+    state, warm state, statistics of every structure and stores."""
+    runs = []
+    for core in (FunctionalCore(program), FastCore(program)):
+        warmer = FunctionalWarmer(MicroarchState(config))
+        written: set[int] = set()
+        executed = [core.run_warmed(budget, warmer, written)
+                    for budget in (7, 1_000, 13, 1 << 60)]
+        hierarchy = warmer.microarch.hierarchy
+        stats = {name: vars(getattr(hierarchy, name).stats)
+                 for name in ("itlb", "dtlb", "l1i", "l1d", "l2")}
+        runs.append((executed, core.state, warmer.microarch.snapshot_state(),
+                     stats, written, warmer.instructions_warmed))
+    assert runs[0] == runs[1]
+
+
+class TestLineGranularFetches:
+    @pytest.mark.parametrize("geometry", HAND_BUILT)
+    @pytest.mark.parametrize("name", ["gcc.syn", "mcf.syn"])
+    def test_warm_closures_match_interpreter(self, name, geometry):
+        _assert_warmed_like_interpreter(small_program(name),
+                                        _geometry(geometry))
+
+    def test_one_program_under_two_fetch_units(self):
+        """A warm closure compiled for a coarse fetch unit would drop
+        fetches a finer one needs: each unit gets its own closures."""
+        program = self_loop_program(40)
+        coarse, fine = _geometry("page16-line64"), _geometry("page2-line32")
+        for config in (coarse, fine, coarse):
+            _assert_warmed_like_interpreter(program, config)
+        units = {MemoryHierarchy(config).fetch_unit
+                 for config in (coarse, fine)}
+        assert units == {16, 2}
+        assert units <= set(compiled_program(program).warmed)
+
+
+# ----------------------------------------------------------------------
 # Self-loop blocks (iterated inside their closures)
 # ----------------------------------------------------------------------
 #: Instructions before the loop, and in its one self-loop block.
@@ -552,7 +604,10 @@ class TestSelfLoopBlocks:
 
     def test_flush_cap_bounds_the_event_buffer(self, machine_8way,
                                                monkeypatch):
-        iterations = 6 * FLUSH_EVENTS // LOOP_LENGTH
+        # Two memory events per iteration, a load and a store: the loop
+        # body's five instructions share one fetch unit, so its closure
+        # emits one fetch per call, not per iteration.
+        iterations = 9 * FLUSH_EVENTS // 2
         program = self_loop_program(iterations)
         fast, interp = FastCore(program), FunctionalCore(program)
         warm_fast = FunctionalWarmer(MicroarchState(machine_8way))
@@ -561,9 +616,9 @@ class TestSelfLoopBlocks:
         batches = []
         real = hierarchy.warm_many
 
-        def recording(events):
+        def recording(events, fetches):
             batches.append(len(events))
-            real(events)
+            real(events, fetches)
 
         monkeypatch.setattr(hierarchy, "warm_many", recording)
         written_fast, written_interp = set(), set()
@@ -666,6 +721,32 @@ class TestDispatchCounts:
             executed += core.run(75)  # detailed window stand-in
         assert executed > 10_000
         assert core.fallback_instructions / executed < 0.35
+
+
+    def test_warming_events_are_line_granular(self, machine_8way,
+                                              monkeypatch):
+        """Every warmed instruction is one I-TLB and one L1I access, but
+        the memory events handed to ``warm_many`` are about one fetch per
+        I-cache line plus the data accesses: 1.24 per warmed instruction
+        with one fetch event per instruction, 0.24 line-granular (0.48
+        if a self-loop block fetched once per iteration)."""
+        program = small_program("mcf.syn")
+        core = FastCore(program)
+        warmer = FunctionalWarmer(MicroarchState(machine_8way))
+        hierarchy = warmer.microarch.hierarchy
+        handed = []
+        real = hierarchy.warm_many
+
+        def recording(events, fetches):
+            handed.append(len(events))
+            real(events, fetches)
+
+        monkeypatch.setattr(hierarchy, "warm_many", recording)
+        executed = core.run_warmed(1 << 60, warmer)
+        assert executed > 10_000
+        assert (hierarchy.itlb.stats.accesses == hierarchy.l1i.stats.accesses
+                == warmer.instructions_warmed == executed)
+        assert sum(handed) / executed <= 0.35
 
 
 class TestDetailedDispatchCounts:

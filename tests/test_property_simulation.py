@@ -10,18 +10,61 @@ CPI is bounded below by the machine's width).
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import scaled_8way
 from repro.detailed import DetailedSimulator, MicroarchState
 from repro.functional import FunctionalCore
-from repro.isa import Opcode, ProgramBuilder
+from repro.isa import ProgramBuilder
 
 #: Register names the generated programs may use (r0 excluded as a
 #: destination on purpose: writes to it must be discarded).
 _REGS = [f"r{i}" for i in range(1, 8)]
+
+#: Holds :data:`_MUL_MASK`; never a destination of a body op.
+_MASK_REG = "r8"
+
+#: Every ``mul`` result is masked to 16 bits.  Registers are unbounded
+#: ints, so an unmasked loop that squares a register, or in which two
+#: registers feed each other's ``mul``, doubles (or Fibonacci-grows) a
+#: value's bit length per iteration and runs effectively forever.  With
+#: the mask a value grows by about a bit per ALU op at most, so it stays
+#: a few hundred bits long.
+_MUL_MASK = 0xFFFF
+
+#: The test's instruction limit: every generated program halts well
+#: inside it (at most 9 + 20 * (2 * 12 + 2) + 1 instructions).
+LIMIT = 100_000
+
+
+def build_program(body_ops, iterations: int):
+    """Init block, then ``iterations`` runs of the ``(op, rd, rs, imm)``
+    body ops, then HALT."""
+    b = ProgramBuilder("generated")
+    base = 0x1000
+    b.data_block(base, list(range(16)))
+    for i, reg in enumerate(_REGS):
+        b.addi(reg, "r0", i + 1)
+    b.addi(_MASK_REG, "r0", _MUL_MASK)
+    b.addi("r20", "r0", iterations)
+    b.label("loop")
+    for op, rd, rs, imm in body_ops:
+        if op == "addi":
+            b.addi(rd, rs, imm)
+        elif op == "load":
+            b.load(rd, "r0", base + (abs(imm) % 16) * 8)
+        elif op == "store":
+            b.store(rs, "r0", base + (abs(imm) % 16) * 8)
+        elif op == "mul":
+            b.mul(rd, rd, rs)
+            b.and_(rd, rd, _MASK_REG)
+        else:
+            getattr(b, op)(rd, rd, rs)
+    b.addi("r20", "r20", -1)
+    b.bne("r20", "r0", "loop")
+    b.halt()
+    return b.build()
 
 
 @st.composite
@@ -37,39 +80,31 @@ def straight_line_programs(draw):
         ),
         min_size=1, max_size=12))
     iterations = draw(st.integers(min_value=1, max_value=20))
+    return build_program(body_ops, iterations)
 
-    b = ProgramBuilder("generated")
-    base = 0x1000
-    b.data_block(base, list(range(16)))
-    for i, reg in enumerate(_REGS):
-        b.addi(reg, "r0", i + 1)
-    b.addi("r20", "r0", iterations)
-    b.label("loop")
-    for op, rd, rs, imm in body_ops:
-        if op == "addi":
-            b.addi(rd, rs, imm)
-        elif op == "load":
-            b.load(rd, "r0", base + (abs(imm) % 16) * 8)
-        elif op == "store":
-            b.store(rs, "r0", base + (abs(imm) % 16) * 8)
-        else:
-            getattr(b, "and_" if op == "and" else op)(rd, rd, rs)
-    b.addi("r20", "r20", -1)
-    b.bne("r20", "r0", "loop")
-    b.halt()
-    return b.build()
+
+#: The worst cases for value growth: the longest body of ``mul`` ops at
+#: the most iterations, squaring one register or two registers feeding
+#: each other.
+SQUARING = build_program([("mul", "r1", "r1", 0)] * 12, 20)
+CROSS_FEEDING = build_program([("mul", "r1", "r2", 0),
+                               ("mul", "r2", "r1", 0)] * 6, 20)
 
 
 class TestGeneratedPrograms:
     @given(straight_line_programs())
+    @example(SQUARING)
+    @example(CROSS_FEEDING)
     @settings(max_examples=25, deadline=None)
     def test_functional_execution_is_deterministic(self, program):
         first = FunctionalCore(program)
         second = FunctionalCore(program)
-        n1 = first.run_to_completion(limit=100_000)
-        n2 = second.run_to_completion(limit=100_000)
+        n1 = first.run_to_completion(limit=LIMIT)
+        n2 = second.run_to_completion(limit=LIMIT)
         assert n1 == n2
         assert first.state == second.state
+        # Every program finishes inside the limit.
+        assert first.halted and n1 < LIMIT
 
     @given(straight_line_programs())
     @settings(max_examples=25, deadline=None)
@@ -88,7 +123,7 @@ class TestGeneratedPrograms:
         functional core executes, with plausible timing."""
         machine = scaled_8way()
         functional_count = FunctionalCore(program).run_to_completion(
-            limit=100_000)
+            limit=LIMIT)
 
         core = FunctionalCore(program)
         counters = DetailedSimulator(machine, MicroarchState(machine)) \
