@@ -27,8 +27,10 @@ behaviourally diverse subset of the suite and records the rates into
   geomean on the same host).
 
 ``harness.runtime.measure_rates``, behind Table 6 and Figure 4, times
-each mode after an untimed pass that compiles its blocks; on the same
-host it gave S_D = 0.16 and S_FW = 0.43 (``results/table6_runtimes.txt``).
+each mode after an untimed pass that compiles its blocks and keeps the
+fastest of three timed passes; on the same host three regenerations of
+``results/table6_runtimes.txt`` gave S_D = 0.14-0.16 and
+S_FW = 0.23-0.32.
 
 Ratios are measured inside one process on one core, so they are
 meaningful on the single-core CI box; the *absolute* rates are

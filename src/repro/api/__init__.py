@@ -5,7 +5,8 @@ SMARTS reproduction.  It provides:
 
 * :class:`Session` — facade with caching and parallel batch execution,
 * :class:`RunSpec` / :class:`RunResult` — declarative, JSON-serializable
-  run contracts,
+  run contracts; a spec rejects what it cannot run with a
+  :class:`SpecError`,
 * the pluggable sampling strategies (:class:`SystematicStrategy`,
   :class:`AdaptiveStrategy`, :class:`RandomStrategy`,
   :class:`StratifiedStrategy`) and their registry,
@@ -54,7 +55,13 @@ from repro.reliability import (
 from repro.simpoint.estimator import run_simpoint
 from repro.store import ArtifactCorruptionWarning, ArtifactStore, fingerprint
 from repro.workloads import EXTRA_NAMES, SUITE_NAMES, get_benchmark, suite_specs
-from repro.api.spec import RunResult, RunSpec
+from repro.api.spec import (
+    BENCHMARK_NAMES,
+    MACHINE_NAMES,
+    RunResult,
+    RunSpec,
+    SpecError,
+)
 from repro.api.strategies import (
     STRATEGIES,
     AdaptiveStrategy,
@@ -116,6 +123,7 @@ __all__ = [
     "ArtifactCorruptionWarning",
     "ArtifactStore",
     "BACKENDS",
+    "BENCHMARK_NAMES",
     "BatchExecutionError",
     "BatchReport",
     "CheckpointStore",
@@ -126,6 +134,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "LocalPoolBackend",
+    "MACHINE_NAMES",
     "QueueBackend",
     "RandomStrategy",
     "ResultCache",
@@ -139,6 +148,7 @@ __all__ = [
     "SamplingStrategy",
     "SerialBackend",
     "Session",
+    "SpecError",
     "SpecFailure",
     "StaleCheckpointWarning",
     "StrategyOutcome",

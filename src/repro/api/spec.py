@@ -7,22 +7,130 @@ same estimates.  Both spec and result round-trip losslessly through
 ``to_dict`` / ``from_dict`` (plain-JSON payloads), which gives the
 executor its cache key (:meth:`RunSpec.key`) and on-disk cache format
 for free.
+A spec is the one validator of a run: it rejects what a worker could
+not run with a :class:`SpecError`, so no caller re-checks it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
+from repro.config.machines import CONFIGURATIONS
 from repro.core.estimates import UnitRecord
 from repro.core.stats import CONFIDENCE_997, DEFAULT_EPSILON
 from repro.api.strategies import (
+    STRATEGIES,
     SamplingStrategy,
     StrategyOutcome,
     SystematicStrategy,
-    strategy_from_dict,
 )
+from repro.workloads.suite import EXTRA_NAMES, SUITE_NAMES
+
+#: Benchmarks a spec may name: the suite, the extra stress-test
+#: workloads, and the tiny test benchmark.
+BENCHMARK_NAMES = (*SUITE_NAMES, *EXTRA_NAMES, "micro.syn")
+
+#: Machines a spec may name: the registry's names, of which ``"8-way"``
+#: and ``"16-way"`` run as the scaled Table 3 pair (``resolve_machine``).
+MACHINE_NAMES = tuple(CONFIGURATIONS)
+
+_CHOICES = {"benchmark": BENCHMARK_NAMES, "machine": MACHINE_NAMES,
+            "metric": ("cpi", "epi"), "checkpoints": ("off", "auto")}
+
+
+class SpecError(ValueError):
+    """A run description that cannot run.
+
+    ``errors`` lists every problem as ``{"field": str, "message": str}``,
+    in RunSpec field order (unknown fields last).
+    """
+
+    def __init__(self, errors: list[dict]):
+        self.errors = list(errors)
+        super().__init__("; ".join(
+            f"{e['field']}: {e['message']}" for e in self.errors))
+
+
+def _problem(name: str, value) -> str | None:
+    """Why ``value`` cannot be the scalar RunSpec field ``name``, or None."""
+    if name in _CHOICES:
+        if value in _CHOICES[name]:
+            return None
+        return (f"unknown {name} {value!r}; "
+                f"available: {list(_CHOICES[name])}")
+    if name == "benchmark_length" and value is None:
+        return None
+    integer = name in ("seed", "benchmark_length")
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return (f"expected {'an integer' if integer else 'a number'}, "
+                f"got {value!r}")
+    if name == "seed":
+        return None if value >= 0 else f"must be non-negative, got {value!r}"
+    if name == "confidence":
+        return None if 0 < value < 1 else f"must be in (0, 1), got {value!r}"
+    # scale, epsilon, benchmark_length (the comparison also rejects NaN).
+    if 0 < value < math.inf:
+        return None
+    return f"must be positive and finite, got {value!r}"
+
+
+def _strategy(value) -> tuple[SamplingStrategy | None, list[dict]]:
+    """``(strategy, errors)`` for a strategy or its ``to_dict`` form."""
+    if isinstance(value, SamplingStrategy):
+        return value, []
+    if not isinstance(value, dict):
+        return None, [{"field": "strategy",
+                       "message": f"expected a sampling strategy or its "
+                                  f"dict form, got {value!r}"}]
+    name = value.get("name")
+    cls = STRATEGIES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        return None, [{"field": "strategy.name",
+                       "message": f"unknown strategy {name!r}; "
+                                  f"available: {sorted(STRATEGIES)}"}]
+    params = value.get("params", {})
+    if not isinstance(params, dict):
+        return None, [{"field": "strategy.params",
+                       "message": f"expected an object, got {params!r}"}]
+    try:
+        return cls.from_params(dict(params)), []
+    except (ValueError, TypeError) as exc:
+        return None, [{"field": "strategy.params", "message": str(exc)}]
+
+
+def _validate(values: dict) -> tuple[dict, list[dict]]:
+    """Check the given RunSpec field values in field order.
+
+    Returns the values with a dict-form strategy built, and every
+    problem found.
+    """
+    errors = []
+    for name in _FIELDS:
+        if name not in values:
+            continue
+        if name == "strategy":
+            strategy, problems = _strategy(values[name])
+            values = {**values, name: strategy}
+            errors += problems
+            continue
+        problem = _problem(name, values[name])
+        length = values[name] if name == "benchmark_length" else None
+        if problem is None and length is not None:
+            # An omitted strategy (from_dict) is the default one.
+            strategy = (values["strategy"] if "strategy" in values
+                        else SystematicStrategy())
+            unit = getattr(strategy, "unit_size", None)
+            if unit and length < unit:
+                problem = (f"shorter than one sampling unit ({unit} "
+                           f"instructions), got {length!r}")
+        if problem is not None:
+            errors.append({"field": name, "message": problem})
+    return values, errors
 
 
 @dataclass(frozen=True)
@@ -30,25 +138,31 @@ class RunSpec:
     """Declarative description of one sampled-simulation run.
 
     Args:
-        benchmark: Suite benchmark name (e.g. ``"gcc.syn"``), or
-            ``"micro.syn"`` for the tiny test benchmark.
-        machine: Machine configuration name (``"8-way"`` / ``"16-way"``,
-            resolved to the scaled Table 3 configurations).
-        strategy: The sampling strategy to run.
-        scale: Benchmark length scale factor.
+        benchmark: A :data:`BENCHMARK_NAMES` entry (e.g. ``"gcc.syn"``,
+            or ``"micro.syn"`` for the tiny test benchmark).
+        machine: A :data:`MACHINE_NAMES` entry; ``"8-way"`` /
+            ``"16-way"`` resolve to the scaled Table 3 configurations.
+        strategy: The sampling strategy to run (or its ``to_dict`` form).
+        scale: Benchmark length scale factor (positive, finite).
         metric: ``"cpi"`` or ``"epi"``.
-        seed: Seed threaded into seed-consuming strategies (random unit
-            selection, BBV clustering); systematic sampling ignores it.
-        epsilon: Target relative confidence-interval half-width.
-        confidence: Target confidence level.
-        benchmark_length: Optional explicit dynamic instruction count;
-            measured with a functional pass when omitted.
+        seed: Non-negative seed threaded into seed-consuming strategies
+            (random unit selection, BBV clustering); systematic sampling
+            ignores it.
+        epsilon: Target relative confidence-interval half-width
+            (positive, finite).
+        confidence: Target confidence level, in (0, 1).
+        benchmark_length: Optional explicit dynamic instruction count,
+            at least one sampling unit; measured when omitted.
         checkpoints: ``"off"`` (default) or ``"auto"``.  Auto mode loads
             — building once if needed — the warm-state checkpoint set
             for this benchmark/machine/unit-size and restores at each
             sampling unit instead of fast-forwarding.  Estimates are
             bit-identical either way; only the fast-forward work
             bookkeeping changes (see ``RunResult.estimates_dict``).
+
+    Raises:
+        SpecError: listing every field that breaks these rules (a
+            ``bool`` is not a number); no value is ever normalised.
     """
 
     benchmark: str
@@ -63,15 +177,12 @@ class RunSpec:
     checkpoints: str = "off"
 
     def __post_init__(self) -> None:
-        if self.metric not in ("cpi", "epi"):
-            raise ValueError("metric must be 'cpi' or 'epi'")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.checkpoints not in ("off", "auto"):
-            raise ValueError("checkpoints must be 'off' or 'auto'")
-        if isinstance(self.strategy, dict):
-            object.__setattr__(self, "strategy",
-                               strategy_from_dict(self.strategy))
+        values, errors = _validate(
+            {name: getattr(self, name) for name in _FIELDS})
+        if errors:
+            raise SpecError(errors)
+        if values["strategy"] is not self.strategy:
+            object.__setattr__(self, "strategy", values["strategy"])
 
     # ------------------------------------------------------------------
     # Serialization / identity
@@ -92,9 +203,27 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        data = dict(data)
-        data["strategy"] = strategy_from_dict(data["strategy"])
-        return cls(**data)
+        """Build a spec from its ``to_dict`` form (omitted fields default).
+
+        Raises one :class:`SpecError` listing every problem: a missing
+        ``benchmark``, each bad value, and each unknown field.
+        """
+        if not isinstance(data, dict):
+            raise SpecError([{"field": "spec",
+                              "message": f"expected a JSON object, got "
+                                         f"{type(data).__name__}"}])
+        values, errors = _validate(
+            {name: data[name] for name in _FIELDS if name in data})
+        if "benchmark" not in data:
+            errors.insert(0, {"field": "benchmark",
+                              "message": "required field is missing"})
+        errors += [{"field": name,
+                    "message": f"unknown RunSpec field; known: "
+                               f"{list(_FIELDS)}"}
+                   for name in sorted(set(data) - set(_FIELDS))]
+        if errors:
+            raise SpecError(errors)
+        return cls(**values)
 
     def key(self) -> str:
         """Stable content hash identifying this spec (cache key)."""
@@ -104,6 +233,10 @@ class RunSpec:
     def with_(self, **changes) -> "RunSpec":
         """A copy of this spec with the given fields replaced."""
         return replace(self, **changes)
+
+
+#: RunSpec field names, in declaration (and error-report) order.
+_FIELDS = tuple(f.name for f in fields(RunSpec))
 
 
 @dataclass

@@ -27,6 +27,7 @@ act as a cache key.
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
@@ -72,6 +73,24 @@ class SamplingStrategy(ABC):
     """
 
     name: ClassVar[str]
+    #: Smallest value ``run`` can execute for each integer parameter; a
+    #: parameter whose default is None may also be None.
+    minimums: ClassVar[dict[str, int]] = {}
+
+    def __post_init__(self) -> None:
+        from repro.api.spec import SpecError  # spec imports this module
+
+        errors = []
+        for f in fields(self):
+            low, value = self.minimums.get(f.name), getattr(self, f.name)
+            if low is None or (value is None and f.default is None):
+                continue
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < low):
+                errors.append({"field": f.name, "message": f"must be an "
+                               f"integer >= {low}, got {value!r}"})
+        if errors:
+            raise SpecError(errors)
 
     @abstractmethod
     def run(
@@ -172,6 +191,9 @@ class SystematicStrategy(SamplingStrategy):
     """
 
     name: ClassVar[str] = "systematic"
+    minimums: ClassVar[dict[str, int]] = {
+        "unit_size": 1, "n_init": 1, "max_rounds": 1, "offset": 0,
+        "detailed_warming": 0}
 
     unit_size: int = 50
     n_init: int = 300
@@ -233,6 +255,9 @@ class AdaptiveStrategy(SamplingStrategy):
     """
 
     name: ClassVar[str] = "adaptive"
+    minimums: ClassVar[dict[str, int]] = {
+        "unit_size": 1, "n_min": 2, "n_max": 2, "batch_size": 1,
+        "detailed_warming": 0}
 
     unit_size: int = 50
     n_min: int = 30
@@ -242,14 +267,12 @@ class AdaptiveStrategy(SamplingStrategy):
     functional_warming: bool = True
 
     def __post_init__(self) -> None:
-        if self.unit_size <= 0:
-            raise ValueError("unit_size must be positive")
-        if self.n_min < 2:
-            raise ValueError("n_min must be at least 2 (a CI needs variance)")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        super().__post_init__()  # n_min >= 2: a CI needs variance
         if self.n_max is not None and self.n_max < self.n_min:
-            raise ValueError("n_max must be at least n_min")
+            from repro.api.spec import SpecError
+
+            raise SpecError([{"field": "n_max",
+                              "message": "must be at least n_min"}])
 
     def _refinement_levels(self, population: int):
         """Yield ``(stride, new_indices)`` per refinement level.
@@ -277,8 +300,6 @@ class AdaptiveStrategy(SamplingStrategy):
     def run(self, program, machine, benchmark_length, *, metric="cpi",
             epsilon=DEFAULT_EPSILON, confidence=0.997, seed=0,
             checkpoints=None) -> StrategyOutcome:
-        if metric not in ("cpi", "epi"):
-            raise ValueError("metric must be 'cpi' or 'epi'")
         engine = SmartsEngine(machine=machine,
                               measure_energy=(metric == "epi"),
                               checkpoints=checkpoints)
@@ -354,6 +375,8 @@ class RandomStrategy(SamplingStrategy):
     """
 
     name: ClassVar[str] = "random"
+    minimums: ClassVar[dict[str, int]] = {
+        "unit_size": 1, "sample_size": 1, "detailed_warming": 0}
 
     unit_size: int = 50
     sample_size: int = 300
@@ -395,6 +418,9 @@ class StratifiedStrategy(SamplingStrategy):
     """
 
     name: ClassVar[str] = "stratified"
+    minimums: ClassVar[dict[str, int]] = {
+        "unit_size": 1, "sample_size": 1, "units_per_interval": 1,
+        "max_phases": 1, "detailed_warming": 0}
 
     unit_size: int = 50
     sample_size: int = 300

@@ -214,8 +214,7 @@ def _fig4_analyze(ctx: StudyContext, results: ResultSet,
 
     # Our measured rates on the calibration benchmark.
     benchmark = ctx.benchmark(benchmark_name)
-    measured = measure_rates(benchmark.program, ctx.machine("8-way"),
-                             instructions=30_000 if ctx.fast else 60_000)
+    measured = measure_rates(benchmark.program, ctx.machine("8-way"))
     our_rates = measured.to_simulator_rates()
     length = ctx.benchmark_length(benchmark_name)
     our_sample = max(1, ctx.n_init)
@@ -525,8 +524,7 @@ def _table6_analyze(ctx: StudyContext, results: ResultSet,
     """Table 6: projected runtimes and speedups, paper-scale and measured."""
     machine = ctx.machine(machine_name)
     calibration = ctx.benchmark(ctx.subset(1)[0])
-    measured = measure_rates(calibration.program, machine,
-                             instructions=30_000 if ctx.fast else 60_000)
+    measured = measure_rates(calibration.program, machine)
     our_rates = measured.to_simulator_rates()
     paper_rates = SimulatorRates.paper(PAPER_SD_TODAY)
 

@@ -206,7 +206,7 @@ class CheckpointSet:
         return cls(snapshots=payload["snapshots"], **payload["meta"])
 
     def describe(self) -> dict:
-        """Flat metadata row for ``checkpoint ls`` style listings."""
+        """Flat metadata row for the ``store ls`` listing."""
         return {
             "benchmark": self.benchmark,
             "machine": self.machine,
@@ -583,7 +583,7 @@ class CheckpointStore:
         return length
 
     # ------------------------------------------------------------------
-    # Maintenance (checkpoint ls / gc)
+    # Maintenance (store ls / gc)
     # ------------------------------------------------------------------
     def entries(self) -> list[dict]:
         """Metadata of every readable set in the store directory."""

@@ -17,28 +17,29 @@ Python:
   layer: list the registered studies, execute one through
   ``Session.run_study`` (parallel batches, result caching, checkpoints
   all apply), and export its tidy rows as CSV/JSON.
-* ``repro-smarts checkpoint build|ls|gc`` — manage the warm-state
-  checkpoint store that ``--checkpoints`` runs restore from;
+* ``repro-smarts checkpoint build`` — build the warm-state checkpoint
+  sets that ``--checkpoints`` runs restore from;
   ``build --benchmarks all --machines 8-way,16-way`` batch-builds the
   whole suite for warm-up.
 * ``repro-smarts serve`` — run the simulation-as-a-service HTTP job
   server (``repro.server``): submit RunSpecs and studies as JSON over
   REST, poll jobs, fetch results; ``--host/--port/--workers/
   --queue-depth`` tune the service.
-* ``repro-smarts jobs ls`` — list the server's job records (the
-  ``<artifacts>/jobs`` work queue it keeps across restarts).
 * ``repro-smarts store ls|stats|gc`` — inspect and collect the unified
   content-addressed artifact store (``.artifacts/``) every cache lives
-  in: run results, checkpoint sets, BBV profiles, reference traces;
-  ``gc`` also prunes the work-queue and server job records.
+  in; ``ls`` also lists checkpoint-set and BBV-profile metadata and the
+  server's job records; ``gc --namespaces checkpoint,bbv`` collects only
+  checkpoint sets and profiles, and a plain ``gc`` also prunes the
+  work-queue and job records.
 * ``repro-smarts worker`` — run a queue worker process draining the
   file-based work queue of the ``queue`` executor backend (started by
   ``QueueBackend`` per batch, or by hand for a standing worker fleet);
   ``--backend``/``REPRO_BACKEND`` select the backend for ``sweep`` and
   ``serve``.
 
-Every command accepts ``--machine {8-way,16-way}`` (the scaled Table 3
-configurations) and ``--scale`` to control benchmark length.
+Commands take ``--machine`` (``8-way`` / ``16-way`` are the scaled
+Table 3 configurations) and ``--scale``; the RunSpecs they build reject
+a bad name or value, which exits 2 before anything is simulated.
 ``estimate``, ``sweep``, and ``study run`` accept ``--json`` to emit
 machine-readable payloads (``RunResult.to_dict()`` for estimates and
 sweeps) instead of text tables, and ``--checkpoints`` to replace
@@ -54,14 +55,16 @@ import sys
 from typing import Sequence
 
 from repro.api import (
+    BENCHMARK_NAMES,
     DEFAULT_STRIDE,
-    EXTRA_NAMES,
+    MACHINE_NAMES,
     STRATEGIES,
     STUDIES,
     AdaptiveStrategy,
     CheckpointStore,
     RunSpec,
     Session,
+    SpecError,
     SystematicStrategy,
     SUITE_NAMES,
     default_context,
@@ -71,22 +74,13 @@ from repro.api import (
     run_reference,
     run_simpoint,
     run_study,
-    get_benchmark,
     suite_specs,
     to_jsonable,
 )
 
 
-#: Machine configurations the CLI accepts (the scaled Table 3 pair).
-MACHINE_NAMES = ("8-way", "16-way")
-
-#: Benchmarks the single-run commands accept: the SPEC2K stand-in suite
-#: plus the extra stress-test workloads (phase-shifting / irregular).
-ESTIMATE_BENCHMARKS = (*SUITE_NAMES, *EXTRA_NAMES)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--machine", choices=list(MACHINE_NAMES),
+    parser.add_argument("--machine", choices=MACHINE_NAMES,
                         default="8-way", help="machine configuration")
     parser.add_argument("--scale", type=float, default=0.25,
                         help="benchmark length scale factor")
@@ -94,16 +88,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _split_names(raw: str) -> list[str]:
     return [name.strip() for name in raw.split(",") if name.strip()]
-
-
-def _reject_unknown(names: list[str], known: Sequence[str],
-                    kind: str) -> bool:
-    """True (and an error on stderr) when ``names`` has unknown entries."""
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(f"error: unknown {kind}(s) {', '.join(unknown)}; "
-              f"available: {', '.join(known)}", file=sys.stderr)
-    return bool(unknown)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser(
         "estimate", help="estimate CPI/EPI with the SMARTS procedure")
-    estimate.add_argument("benchmark", choices=ESTIMATE_BENCHMARKS)
+    estimate.add_argument("benchmark", choices=BENCHMARK_NAMES)
     _add_common(estimate)
     estimate.add_argument("--metric", choices=["cpi", "epi"], default="cpi")
     estimate.add_argument("--strategy", choices=["systematic", "adaptive"],
@@ -188,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     reference = sub.add_parser(
         "reference", help="run full-stream detailed simulation")
-    reference.add_argument("benchmark", choices=ESTIMATE_BENCHMARKS)
+    reference.add_argument("benchmark", choices=BENCHMARK_NAMES)
     _add_common(reference)
     reference.add_argument("--no-cache", action="store_true",
                            help="ignore the on-disk reference cache")
 
     simpoint = sub.add_parser("simpoint", help="run the SimPoint baseline")
-    simpoint.add_argument("benchmark", choices=SUITE_NAMES)
+    simpoint.add_argument("benchmark", choices=BENCHMARK_NAMES)
     _add_common(simpoint)
     simpoint.add_argument("--interval-size", type=int, default=2500)
     simpoint.add_argument("--max-clusters", type=int, default=8)
@@ -237,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    "invocation")
 
     checkpoint = sub.add_parser(
-        "checkpoint", help="manage the warm-state checkpoint store")
+        "checkpoint", help="build warm-state checkpoint sets")
     ckpt_sub = checkpoint.add_subparsers(dest="checkpoint_command",
                                          required=True)
     build = ckpt_sub.add_parser(
         "build", help="build (or refresh) checkpoint sets; one benchmark "
                       "positionally, or a batch via --benchmarks/--machines")
     build.add_argument("benchmark", nargs="?", default=None,
-                       choices=[*SUITE_NAMES, "micro.syn"])
+                       choices=BENCHMARK_NAMES)
     _add_common(build)
     build.add_argument("--benchmarks", default=None,
                        help="comma-separated benchmark names, or 'all' for "
@@ -258,26 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="snapshot stride in sampling units; omit to "
                             "keep an existing set's grid (new builds "
                             f"default to {DEFAULT_STRIDE})")
-    ls = ckpt_sub.add_parser("ls", help="list the stored checkpoint sets")
-    ls.add_argument("--json", action="store_true",
-                    help="emit the set metadata as JSON")
-    gc = ckpt_sub.add_parser(
-        "gc", help="remove stale checkpoint sets (old versions, tmp files)")
-    gc.add_argument("--all", action="store_true",
-                    help="remove every checkpoint set")
-    gc.add_argument("--max-age-days", type=float, default=None,
-                    help="also remove sets older than this many days")
-    gc.add_argument("--dry-run", action="store_true",
-                    help="report what would be removed without deleting "
-                         "(delegates to the artifact store's gc)")
 
     store = sub.add_parser(
         "store", help="inspect and collect the unified artifact store")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_ls = store_sub.add_parser(
-        "ls", help="list stored artifacts per namespace")
+        "ls", help="list stored artifacts per namespace, checkpoint-set "
+                   "and BBV-profile metadata, and server job records")
     store_ls.add_argument("--json", action="store_true",
-                          help="emit the artifact listing as JSON")
+                          help="emit the listing as JSON")
     store_stats = store_sub.add_parser(
         "stats", help="per-namespace entry counts and sizes")
     store_stats.add_argument("--json", action="store_true",
@@ -294,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report what would be removed without "
                                "deleting")
     store_gc.add_argument("--namespaces", default=None,
-                          help="comma-separated namespaces to collect "
-                               "(default: all)")
+                          help="comma-separated namespaces to collect, "
+                               "e.g. checkpoint,bbv (default: all, plus "
+                               "queue and job records)")
 
     worker = sub.add_parser(
         "worker", help="run a queue-backend worker draining the shared "
@@ -331,13 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="executor backend for spec execution (serial, "
                             "local-pool, queue; default: REPRO_BACKEND or "
                             "automatic)")
-
-    jobs = sub.add_parser(
-        "jobs", help="inspect the server's on-disk job records")
-    jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
-    jobs_ls = jobs_sub.add_parser("ls", help="list persisted job records")
-    jobs_ls.add_argument("--json", action="store_true",
-                         help="emit the job records as JSON")
 
     return parser
 
@@ -395,8 +362,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     validation = None
     if args.validate:
-        benchmark = get_benchmark(args.benchmark, scale=args.scale)
-        reference = run_reference(benchmark.program, machine)
+        program = resolve_benchmark(args.benchmark, args.scale)
+        reference = run_reference(program, machine)
         true_value = reference.cpi if args.metric == "cpi" else reference.epi
         validation = {
             "true_value": true_value,
@@ -439,18 +406,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     benchmarks = (_split_names(args.benchmarks) if args.benchmarks
                   else list(SUITE_NAMES))
-    if _reject_unknown(benchmarks, ESTIMATE_BENCHMARKS, "benchmark"):
-        return 2
     machines = _split_names(args.machines)
-    if _reject_unknown(machines, MACHINE_NAMES, "machine"):
-        return 2
-    strategy = STRATEGIES[args.strategy]()
-    session = Session(use_cache=not args.no_cache, backend=args.backend)
-    specs = session.sweep_specs(
-        benchmarks=benchmarks, machines=machines, strategy=strategy,
+    # Built (and so validated) before any session or backend exists.
+    specs = Session.sweep_specs(
+        benchmarks=benchmarks, machines=machines,
+        strategy=STRATEGIES[args.strategy](),
         scale=args.scale, metric=args.metric, seed=args.seed,
         epsilon=args.epsilon,
         checkpoints="auto" if args.checkpoints else "off")
+    session = Session(use_cache=not args.no_cache, backend=args.backend)
     batch = session.run_batch_report(specs, max_workers=args.workers)
     results = batch.completed
 
@@ -505,10 +469,10 @@ def _print_failure_table(failures) -> None:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     machine = resolve_machine(args.machine)
-    benchmark = get_benchmark(args.benchmark, scale=args.scale)
-    reference = run_reference(benchmark.program, machine,
+    program = resolve_benchmark(args.benchmark, args.scale)
+    reference = run_reference(program, machine,
                               use_cache=not args.no_cache)
-    print(f"benchmark    : {benchmark.name}")
+    print(f"benchmark    : {args.benchmark}")
     print(f"machine      : {machine.name}")
     print(f"instructions : {reference.instructions:,}")
     print(f"cycles       : {reference.cycles:,}")
@@ -520,11 +484,11 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 
 def _cmd_simpoint(args: argparse.Namespace) -> int:
     machine = resolve_machine(args.machine)
-    benchmark = get_benchmark(args.benchmark, scale=args.scale)
-    result = run_simpoint(benchmark.program, machine,
+    program = resolve_benchmark(args.benchmark, args.scale)
+    result = run_simpoint(program, machine,
                           interval_size=args.interval_size,
                           max_clusters=args.max_clusters)
-    print(f"benchmark          : {benchmark.name}")
+    print(f"benchmark          : {args.benchmark}")
     print(f"machine            : {machine.name}")
     print(f"clusters           : {result.num_clusters}")
     print(f"intervals simulated: {len(result.simpoints)} x "
@@ -535,51 +499,6 @@ def _cmd_simpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    store = CheckpointStore()
-    if args.checkpoint_command == "build":
-        return _cmd_checkpoint_build(args, store)
-    if args.checkpoint_command == "ls":
-        rows = store.entries()
-        profiles = store.bbv_entries()
-        if args.json:
-            print(json.dumps({"directory": str(store.directory),
-                              "sets": rows, "bbv_profiles": profiles},
-                             indent=2, sort_keys=True))
-            return 0
-        table_rows = [[r["benchmark"], r["machine"], r["unit_size"],
-                       r["stride"], r["snapshots"],
-                       f"{r['benchmark_length']:,}", r["machine_hash"],
-                       f"{r['size_bytes'] / 1024:.0f} KiB"]
-                      for r in rows]
-        print(format_table(
-            ["benchmark", "machine", "U", "stride", "snapshots", "length",
-             "geometry", "size"],
-            table_rows,
-            title=f"Checkpoint store: {store.directory} "
-                  f"({len(rows)} sets)"))
-        if profiles:
-            print()
-            print(format_table(
-                ["benchmark", "interval", "limit", "intervals", "size"],
-                [[p["benchmark"], p["interval_size"],
-                  p["limit"] if p["limit"] is not None else "full",
-                  p["intervals"], f"{p['size_bytes'] / 1024:.0f} KiB"]
-                 for p in profiles],
-                title=f"BBV profiles ({len(profiles)})"))
-        return 0
-    # gc — delegates to the unified artifact store (checkpoint + bbv
-    # namespaces only; `repro-smarts store gc` collects everything).
-    removed = store.gc(max_age_days=args.max_age_days, remove_all=args.all,
-                       dry_run=args.dry_run)
-    verb = "would remove" if args.dry_run else "removed"
-    print(f"{verb} {len(removed)} file(s) from {store.directory}")
-    for path in removed:
-        print(f"  {path.name}")
-    return 0
-
-
-def _cmd_checkpoint_build(args: argparse.Namespace,
-                          store: CheckpointStore) -> int:
     if args.benchmarks:
         if args.benchmark is not None:
             print("error: give a positional benchmark or --benchmarks, "
@@ -589,9 +508,6 @@ def _cmd_checkpoint_build(args: argparse.Namespace,
             benchmarks = list(SUITE_NAMES)
         else:
             benchmarks = _split_names(args.benchmarks)
-        if _reject_unknown(benchmarks, (*SUITE_NAMES, "micro.syn"),
-                           "benchmark"):
-            return 2
     elif args.benchmark is not None:
         benchmarks = [args.benchmark]
     else:
@@ -600,39 +516,38 @@ def _cmd_checkpoint_build(args: argparse.Namespace,
         return 2
     machines = (_split_names(args.machines) if args.machines
                 else [args.machine])
-    if _reject_unknown(machines, MACHINE_NAMES, "machine"):
-        return 2
+    # The specs validate every name and the unit size up front.
+    specs = Session.sweep_specs(
+        benchmarks=benchmarks, machines=machines, scale=args.scale,
+        strategy=SystematicStrategy(unit_size=args.unit_size))
 
+    store = CheckpointStore()
     kwargs = {} if args.stride is None else {"stride": args.stride}
-    single = len(benchmarks) == 1 and len(machines) == 1
     rows = []
-    for benchmark_name in benchmarks:
-        program = resolve_benchmark(benchmark_name, args.scale)
-        for machine_name in machines:
-            machine = resolve_machine(machine_name)
-            ckpt = store.get_or_build(program, machine, args.unit_size,
-                                      **kwargs)
-            path = store.path_for(program, machine, args.unit_size)
-            if single:
-                chunk = ckpt.stride * ckpt.unit_size
-                aligned = any(snap.position % chunk
-                              for snap in ckpt.snapshots)
-                print(f"benchmark       : {benchmark_name} "
-                      f"({ckpt.benchmark_length:,} instructions)")
-                print(f"machine         : {machine.name} (warm geometry "
-                      f"{ckpt.machine_hash})")
-                print(f"unit size       : {ckpt.unit_size}")
-                print(f"snapshots       : {len(ckpt.snapshots)} "
-                      f"(base grid every {chunk:,} instructions"
-                      f"{', plus warm-aligned points' if aligned else ''})")
-                print(f"file            : {path} "
-                      f"({path.stat().st_size / 1024:.0f} KiB)")
-                return 0
-            rows.append([
-                benchmark_name, machine_name, ckpt.unit_size,
-                len(ckpt.snapshots), f"{ckpt.benchmark_length:,}",
-                f"{path.stat().st_size / 1024:.0f} KiB",
-            ])
+    for spec in specs:
+        program = resolve_benchmark(spec.benchmark, spec.scale)
+        machine = resolve_machine(spec.machine)
+        ckpt = store.get_or_build(program, machine, args.unit_size, **kwargs)
+        path = store.path_for(program, machine, args.unit_size)
+        if len(specs) == 1:
+            chunk = ckpt.stride * ckpt.unit_size
+            aligned = any(snap.position % chunk for snap in ckpt.snapshots)
+            print(f"benchmark       : {spec.benchmark} "
+                  f"({ckpt.benchmark_length:,} instructions)")
+            print(f"machine         : {machine.name} (warm geometry "
+                  f"{ckpt.machine_hash})")
+            print(f"unit size       : {ckpt.unit_size}")
+            print(f"snapshots       : {len(ckpt.snapshots)} "
+                  f"(base grid every {chunk:,} instructions"
+                  f"{', plus warm-aligned points' if aligned else ''})")
+            print(f"file            : {path} "
+                  f"({path.stat().st_size / 1024:.0f} KiB)")
+            return 0
+        rows.append([
+            spec.benchmark, spec.machine, ckpt.unit_size,
+            len(ckpt.snapshots), f"{ckpt.benchmark_length:,}",
+            f"{path.stat().st_size / 1024:.0f} KiB",
+        ])
     print(format_table(
         ["benchmark", "machine", "U", "snapshots", "length", "size"],
         rows,
@@ -711,7 +626,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.store import NAMESPACES, ArtifactStore
+    from repro.store import ArtifactStore
 
     store = ArtifactStore()
     if args.store_command == "stats":
@@ -729,36 +644,17 @@ def _cmd_store(args: argparse.Namespace) -> int:
                   f"{stats['quarantined']} quarantined)"))
         return 0
     if args.store_command == "ls":
-        entries = []
-        for namespace in NAMESPACES:
-            directory = store.namespace_dir(namespace)
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.iterdir()):
-                if path.is_file() and not path.name.endswith(".tmp"):
-                    entries.append({"namespace": namespace,
-                                    "name": path.name,
-                                    "size_bytes": path.stat().st_size})
-        if args.json:
-            print(json.dumps({"root": str(store.root), "artifacts": entries},
-                             indent=2, sort_keys=True))
-            return 0
-        print(format_table(
-            ["namespace", "artifact", "size"],
-            [[e["namespace"], e["name"],
-              f"{e['size_bytes'] / 1024:.0f} KiB"] for e in entries],
-            title=f"Artifact store: {store.root} "
-                  f"({len(entries)} artifacts)"))
-        return 0
+        return _store_ls(store, args.json)
     # gc
     namespaces = (tuple(_split_names(args.namespaces)) if args.namespaces
                   else None)
-    if namespaces and _reject_unknown(list(namespaces), NAMESPACES,
-                                      "namespace"):
+    try:
+        removed = store.gc(namespaces=namespaces,
+                           max_age_days=args.max_age_days,
+                           remove_all=args.all, dry_run=args.dry_run)
+    except ValueError as exc:  # an unknown namespace
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    removed = store.gc(namespaces=namespaces,
-                       max_age_days=args.max_age_days,
-                       remove_all=args.all, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     print(f"{verb} {len(removed)} file(s) from {store.root}")
     for path in removed:
@@ -778,6 +674,66 @@ def _cmd_store(args: argparse.Namespace) -> int:
                   f"{queue.directory}")
             for path in queue_removed:
                 print(f"  {path.name}")
+    return 0
+
+
+def _store_ls(store, as_json: bool) -> int:
+    """List every artifact, then checkpoint sets, BBV profiles and jobs."""
+    from repro.server.jobs import jobs_queue, list_jobs
+    from repro.store import NAMESPACES
+
+    entries = []
+    for namespace in NAMESPACES:
+        directory = store.namespace_dir(namespace)
+        if not directory.is_dir():
+            continue
+        for path in sorted(directory.iterdir()):
+            if path.is_file() and not path.name.endswith(".tmp"):
+                entries.append({"namespace": namespace, "name": path.name,
+                                "size_bytes": path.stat().st_size})
+    checkpoints = CheckpointStore(store=store)
+    sets = checkpoints.entries()
+    profiles = checkpoints.bbv_entries()
+    jobs = list_jobs(jobs_queue())
+    if as_json:
+        print(json.dumps({"root": str(store.root), "artifacts": entries,
+                          "sets": sets, "bbv_profiles": profiles,
+                          "jobs": jobs}, indent=2, sort_keys=True))
+        return 0
+    print(format_table(
+        ["namespace", "artifact", "size"],
+        [[e["namespace"], e["name"], f"{e['size_bytes'] / 1024:.0f} KiB"]
+         for e in entries],
+        title=f"Artifact store: {store.root} ({len(entries)} artifacts)"))
+    if sets:
+        print()
+        print(format_table(
+            ["benchmark", "machine", "U", "stride", "snapshots", "length",
+             "geometry", "size"],
+            [[r["benchmark"], r["machine"], r["unit_size"], r["stride"],
+              r["snapshots"], f"{r['benchmark_length']:,}",
+              r["machine_hash"], f"{r['size_bytes'] / 1024:.0f} KiB"]
+             for r in sets],
+            title=f"Checkpoint sets ({len(sets)})"))
+    if profiles:
+        print()
+        print(format_table(
+            ["benchmark", "interval", "limit", "intervals", "size"],
+            [[p["benchmark"], p["interval_size"],
+              p["limit"] if p["limit"] is not None else "full",
+              p["intervals"], f"{p['size_bytes'] / 1024:.0f} KiB"]
+             for p in profiles],
+            title=f"BBV profiles ({len(profiles)})"))
+    if jobs:
+        print()
+        print(format_table(
+            ["id", "kind", "status", "target", "cached", "error"],
+            [[r["id"], r["kind"], r["status"],
+              r["payload"].get("benchmark") or r["payload"].get("study", ""),
+              "yes" if r["cached"] else "-",
+              (r["error"] or "-").strip().splitlines()[-1][:40]]
+             for r in jobs],
+            title=f"Server jobs ({len(jobs)})"))
     return 0
 
 
@@ -802,26 +758,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         backend=args.backend,
     ))
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.server.jobs import jobs_queue, list_jobs
-
-    queue = jobs_queue()
-    records = list_jobs(queue)
-    if args.json:
-        print(json.dumps({"directory": str(queue.directory),
-                          "jobs": records}, indent=2, sort_keys=True))
-        return 0
-    rows = [[r["id"], r["kind"], r["status"],
-             r["payload"].get("benchmark") or r["payload"].get("study", ""),
-             "yes" if r["cached"] else "-",
-             (r["error"] or "-").strip().splitlines()[-1][:40]]
-            for r in records]
-    print(format_table(
-        ["id", "kind", "status", "target", "cached", "error"], rows,
-        title=f"Job store: {queue.directory} ({len(records)} records)"))
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -849,8 +785,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_worker(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "jobs":
-            return _cmd_jobs(args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `... | head`) closed the pipe; point
         # stdout at devnull so interpreter shutdown doesn't re-raise.

@@ -34,11 +34,7 @@ from repro.server.app import (
 )
 from repro.server.client import ReproClient, ServerError
 from repro.server.jobs import JobQueue, QueueClosed, QueueFull
-from repro.server.schemas import (
-    ValidationError,
-    parse_run_payload,
-    parse_study_payload,
-)
+from repro.server.schemas import parse_run_payload, parse_study_payload
 
 __all__ = [
     "JobQueue",
@@ -48,7 +44,6 @@ __all__ = [
     "ReproClient",
     "ServerConfig",
     "ServerError",
-    "ValidationError",
     "create_app",
     "make_http_server",
     "parse_run_payload",

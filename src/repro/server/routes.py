@@ -33,15 +33,11 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from repro.api.spec import RunResult
+from repro.api.spec import RunResult, SpecError
 from repro.api.study import STUDIES
 from repro.api.resultset import rows_to_csv
 from repro.server.jobs import STATUS, QueueClosed, QueueFull
-from repro.server.schemas import (
-    ValidationError,
-    parse_run_payload,
-    parse_study_payload,
-)
+from repro.server.schemas import parse_run_payload, parse_study_payload
 
 #: HTTP reason phrases for the statuses the service emits.
 _REASONS = {
@@ -233,7 +229,7 @@ def dispatch(app, request) -> Response:
             continue
         try:
             return handler(app, request, **match.groupdict())
-        except ValidationError as exc:
+        except SpecError as exc:
             return Response.json(400, {"error": "validation failed",
                                        "errors": exc.errors})
         except QueueFull as exc:

@@ -1,11 +1,12 @@
 """Request validation: JSON payloads in, RunSpec/Study out — or a 400.
 
-Submissions arrive as untrusted JSON.  The parsers here turn them into
-the library's typed contracts (:class:`~repro.api.spec.RunSpec`, a
-registered :class:`~repro.api.study.Study` plus params) and collect
-*every* problem as a structured ``{"field", "message"}`` error instead
-of letting the first bad name explode as a worker-side traceback.  The
-route layer renders a :class:`ValidationError` as an HTTP 400 body::
+Submissions arrive as untrusted JSON.  A run body is checked for shape
+only (a JSON object, optionally nested under ``"spec"``) and handed to
+:meth:`RunSpec.from_dict`, the one validator of a run; a study body is
+checked against the registry and the study's parameter names here.
+Both raise :class:`~repro.api.spec.SpecError`, which carries *every*
+problem as a ``{"field", "message"}`` entry; the route layer renders it
+as an HTTP 400 body::
 
     {"error": "validation failed",
      "errors": [{"field": "benchmark",
@@ -15,43 +16,9 @@ route layer renders a :class:`ValidationError` as an HTTP 400 body::
 from __future__ import annotations
 
 import inspect
-import numbers
 
-from repro.api.spec import RunSpec
-from repro.api.strategies import STRATEGIES
+from repro.api.spec import RunSpec, SpecError
 from repro.api.study import STUDIES, Study, get_study
-from repro.config.machines import CONFIGURATIONS
-from repro.workloads.suite import EXTRA_NAMES, SUITE_NAMES
-
-
-class ValidationError(Exception):
-    """A submission payload failed validation.
-
-    ``errors`` is a list of ``{"field": str, "message": str}`` dicts,
-    one per problem, in a stable order.
-    """
-
-    def __init__(self, errors: list[dict]):
-        self.errors = list(errors)
-        super().__init__("; ".join(
-            f"{e['field']}: {e['message']}" for e in self.errors))
-
-    @classmethod
-    def single(cls, field: str, message: str) -> "ValidationError":
-        return cls([{"field": field, "message": message}])
-
-
-#: Benchmarks a submission may name: the suite, the extra stress-test
-#: workloads, and the test micro one.
-KNOWN_BENCHMARKS = (*SUITE_NAMES, *EXTRA_NAMES, "micro.syn")
-
-#: Machines a submission may name: the scaled pair plus the registry.
-KNOWN_MACHINES = tuple(dict.fromkeys(("8-way", "16-way", *CONFIGURATIONS)))
-
-#: RunSpec fields a submission may set (everything else is rejected).
-RUN_FIELDS = ("benchmark", "machine", "strategy", "scale", "metric",
-              "seed", "epsilon", "confidence", "benchmark_length",
-              "checkpoints")
 
 
 def _require_mapping(payload, field: str) -> list[dict]:
@@ -63,98 +30,18 @@ def _require_mapping(payload, field: str) -> list[dict]:
 
 
 def parse_run_payload(payload) -> RunSpec:
-    """Validate a ``POST /runs`` body and build its RunSpec.
+    """Build the RunSpec of a ``POST /runs`` body.
 
-    Accepts either the bare ``RunSpec.to_dict()`` shape or the same
-    nested under a ``"spec"`` key.  Raises :class:`ValidationError`
-    carrying every detected problem.
+    Accepts either the bare ``RunSpec.to_dict()`` shape (omitted fields
+    take their defaults) or the same nested under a ``"spec"`` key.
     """
     errors = _require_mapping(payload, "(body)")
-    if errors:
-        raise ValidationError(errors)
-    if "spec" in payload:
+    if not errors and "spec" in payload:
         payload = payload["spec"]
-        errors += _require_mapping(payload, "spec")
-        if errors:
-            raise ValidationError(errors)
-
-    unknown = sorted(set(payload) - set(RUN_FIELDS))
-    if unknown:
-        errors.append({"field": unknown[0],
-                       "message": f"unknown RunSpec field(s) {unknown}; "
-                                  f"known: {list(RUN_FIELDS)}"})
-
-    benchmark = payload.get("benchmark")
-    if benchmark is None:
-        errors.append({"field": "benchmark",
-                       "message": "required field is missing"})
-    elif benchmark not in KNOWN_BENCHMARKS:
-        errors.append({"field": "benchmark",
-                       "message": f"unknown benchmark {benchmark!r}; "
-                                  f"available: {list(KNOWN_BENCHMARKS)}"})
-
-    machine = payload.get("machine", "8-way")
-    if machine not in KNOWN_MACHINES:
-        errors.append({"field": "machine",
-                       "message": f"unknown machine {machine!r}; "
-                                  f"available: {list(KNOWN_MACHINES)}"})
-
-    strategy = payload.get("strategy")
-    if strategy is not None:
-        errors += _strategy_errors(strategy)
-
-    for field, kind in (("scale", numbers.Real), ("epsilon", numbers.Real),
-                        ("confidence", numbers.Real),
-                        ("seed", numbers.Integral),
-                        ("benchmark_length", numbers.Integral)):
-        value = payload.get(field)
-        if value is None or field not in payload:
-            continue
-        if isinstance(value, bool) or not isinstance(value, kind):
-            expected = "an integer" if kind is numbers.Integral else "a number"
-            errors.append({"field": field,
-                           "message": f"expected {expected}, got "
-                                      f"{value!r}"})
-            continue
-        # Range checks the statistics layer would otherwise reject deep
-        # inside a worker (z_score / required_sample_size ValueErrors).
-        if field == "epsilon" and value <= 0:
-            errors.append({"field": "epsilon",
-                           "message": f"epsilon must be positive, got "
-                                      f"{value!r}"})
-        elif field == "confidence" and not 0 < value < 1:
-            errors.append({"field": "confidence",
-                           "message": f"confidence must be in (0, 1), got "
-                                      f"{value!r}"})
-
+        errors = _require_mapping(payload, "spec")
     if errors:
-        raise ValidationError(errors)
-    try:
-        return RunSpec.from_dict(dict(payload))
-    except (ValueError, TypeError, KeyError) as exc:
-        # Constraints __post_init__ enforces (metric/scale/checkpoints).
-        raise ValidationError.single("spec", str(exc)) from exc
-
-
-def _strategy_errors(strategy) -> list[dict]:
-    errors = _require_mapping(strategy, "strategy")
-    if errors:
-        return errors
-    name = strategy.get("name")
-    cls = STRATEGIES.get(name)
-    if cls is None:
-        return [{"field": "strategy.name",
-                 "message": f"unknown strategy {name!r}; "
-                            f"available: {sorted(STRATEGIES)}"}]
-    params = strategy.get("params", {})
-    errors = _require_mapping(params, "strategy.params")
-    if errors:
-        return errors
-    try:
-        cls.from_params(dict(params))
-    except (ValueError, TypeError) as exc:
-        errors.append({"field": "strategy.params", "message": str(exc)})
-    return errors
+        raise SpecError(errors)
+    return RunSpec.from_dict(payload)
 
 
 def parse_study_payload(payload) -> tuple[Study, dict]:
@@ -167,13 +54,15 @@ def parse_study_payload(payload) -> tuple[Study, dict]:
     """
     errors = _require_mapping(payload, "(body)")
     if errors:
-        raise ValidationError(errors)
+        raise SpecError(errors)
     name = payload.get("study")
     if name is None:
-        raise ValidationError.single("study", "required field is missing")
+        raise SpecError([{"field": "study",
+                          "message": "required field is missing"}])
     if name not in STUDIES:
-        raise ValidationError.single(
-            "study", f"unknown study {name!r}; available: {sorted(STUDIES)}")
+        raise SpecError([{"field": "study",
+                          "message": f"unknown study {name!r}; "
+                                     f"available: {sorted(STUDIES)}"}])
     study = get_study(name)
 
     unknown_fields = sorted(set(payload) - {"study", "params"})
@@ -194,7 +83,7 @@ def parse_study_payload(payload) -> tuple[Study, dict]:
                            "message": f"study {name!r} accepts no "
                                       f"parameter(s) {unknown}"})
     if errors:
-        raise ValidationError(errors)
+        raise SpecError(errors)
     return study, dict(params)
 
 

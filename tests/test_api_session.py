@@ -153,13 +153,13 @@ class TestSession:
                              unit_size=25)
 
     def test_sweep_specs_cross_product(self):
-        specs = Session.sweep_specs(["a.syn", "b.syn"],
+        specs = Session.sweep_specs(["gzip.syn", "mcf.syn"],
                                     machines=["8-way", "16-way"],
                                     scale=0.1)
         assert len(specs) == 4
         assert {(s.benchmark, s.machine) for s in specs} == {
-            ("a.syn", "8-way"), ("a.syn", "16-way"),
-            ("b.syn", "8-way"), ("b.syn", "16-way")}
+            ("gzip.syn", "8-way"), ("gzip.syn", "16-way"),
+            ("mcf.syn", "8-way"), ("mcf.syn", "16-way")}
 
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
         strategy = SystematicStrategy(unit_size=25, n_init=30, max_rounds=1,

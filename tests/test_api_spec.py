@@ -1,22 +1,28 @@
 """Tests for the repro.api contracts: strategies, RunSpec, RunResult."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
+    BENCHMARK_NAMES,
+    MACHINE_NAMES,
     STRATEGIES,
     AdaptiveStrategy,
     RandomStrategy,
     RunResult,
     RunSpec,
     SamplingStrategy,
+    SpecError,
     StratifiedStrategy,
     SystematicStrategy,
     get_strategy,
     register_strategy,
     strategy_from_dict,
 )
+from repro.api.executor import CACHE_VERSION
 from repro.core.estimates import UnitRecord
 
 
@@ -147,6 +153,201 @@ class TestRunSpec:
             RunSpec(benchmark="gcc.syn", metric="ipc")
         with pytest.raises(ValueError, match="scale"):
             RunSpec(benchmark="gcc.syn", scale=0)
+
+
+class TestSpecValidation:
+    """A spec rejects what a worker could not run, at construction."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("benchmark", "nope.syn"),
+        ("machine", "3-way"),
+        ("epsilon", 0),
+        ("epsilon", math.inf),
+        ("confidence", 1.5),
+        ("confidence", 1.0),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", True),
+        ("scale", math.nan),
+        ("scale", "big"),
+        ("benchmark_length", -3),
+        ("benchmark_length", 0),
+        ("benchmark_length", 49),
+        ("metric", "ipc"),
+        ("checkpoints", "on"),
+        ("strategy", "systematic"),
+    ])
+    def test_invalid_field_raises_spec_error(self, field, value):
+        with pytest.raises(SpecError) as info:
+            RunSpec(**{"benchmark": "micro.syn", field: value})
+        assert isinstance(info.value, ValueError)
+        assert [e["field"] for e in info.value.errors] == [field]
+
+    @pytest.mark.parametrize("cls,params,field", [
+        (SystematicStrategy, {"unit_size": 0, "n_init": 1}, "unit_size"),
+        (SystematicStrategy, {"n_init": 0}, "n_init"),
+        (SystematicStrategy, {"max_rounds": 0}, "max_rounds"),
+        (SystematicStrategy, {"offset": -1}, "offset"),
+        (SystematicStrategy, {"detailed_warming": -5}, "detailed_warming"),
+        (SystematicStrategy, {"unit_size": 2.5}, "unit_size"),
+        (RandomStrategy, {"sample_size": 0}, "sample_size"),
+        (StratifiedStrategy, {"units_per_interval": 0},
+         "units_per_interval"),
+        (StratifiedStrategy, {"max_phases": 0}, "max_phases"),
+        (AdaptiveStrategy, {"batch_size": True}, "batch_size"),
+    ])
+    def test_invalid_strategy_parameter(self, cls, params, field):
+        with pytest.raises(SpecError) as info:
+            cls(**params)
+        assert [e["field"] for e in info.value.errors] == [field]
+
+    def test_values_used_by_studies_examples_and_bench_construct(self):
+        SystematicStrategy(unit_size=25, n_init=1, max_rounds=1, offset=0,
+                           detailed_warming=0)
+        AdaptiveStrategy(unit_size=50, n_min=8, n_max=None, batch_size=8)
+        RandomStrategy(unit_size=50, sample_size=300, seed_offset=0)
+        StratifiedStrategy(unit_size=50, sample_size=300,
+                           units_per_interval=20, max_phases=6)
+        for benchmark in BENCHMARK_NAMES:
+            for machine in MACHINE_NAMES:
+                RunSpec(benchmark=benchmark, machine=machine, scale=1)
+
+    def test_from_dict_reports_every_problem_in_field_order(self):
+        with pytest.raises(SpecError) as info:
+            RunSpec.from_dict({
+                "machine": "3-way", "wat": 1, "scale": math.nan,
+                "strategy": {"name": "systematic",
+                             "params": {"unit_size": 0}},
+                "confidence": 1.5, "benchmark_length": -5})
+        assert [e["field"] for e in info.value.errors] == [
+            "benchmark", "machine", "strategy.params", "scale",
+            "confidence", "benchmark_length", "wat"]
+        assert "required" in info.value.errors[0]["message"]
+        assert "unit_size" in info.value.errors[2]["message"]
+
+    def test_from_dict_strategy_problems(self):
+        with pytest.raises(SpecError) as info:
+            RunSpec.from_dict({"benchmark": "micro.syn",
+                               "strategy": {"name": "magic"}})
+        assert info.value.errors[0]["field"] == "strategy.name"
+        with pytest.raises(SpecError) as info:
+            RunSpec.from_dict({"benchmark": "micro.syn",
+                               "strategy": {"name": "systematic",
+                                            "params": [1]}})
+        assert info.value.errors[0]["field"] == "strategy.params"
+        with pytest.raises(SpecError) as info:
+            RunSpec.from_dict(["micro.syn"])
+        assert info.value.errors[0]["field"] == "spec"
+
+    def test_benchmark_length_must_hold_one_unit_of_the_strategy(self):
+        strategy = {"name": "random", "params": {"unit_size": 100}}
+        with pytest.raises(SpecError) as info:
+            RunSpec.from_dict({"benchmark": "micro.syn",
+                               "benchmark_length": 99, "strategy": strategy})
+        assert info.value.errors[0]["field"] == "benchmark_length"
+        assert RunSpec.from_dict({"benchmark": "micro.syn",
+                                  "benchmark_length": 100,
+                                  "strategy": strategy})
+        with pytest.raises(SpecError):
+            RunSpec.from_dict({"benchmark": "micro.syn",
+                               "benchmark_length": 49})
+
+    def test_from_dict_fills_omitted_fields_from_defaults(self):
+        assert RunSpec.from_dict({"benchmark": "micro.syn"}) \
+            == RunSpec(benchmark="micro.syn")
+
+    def test_validation_never_normalises(self):
+        spec = RunSpec(benchmark="gzip.syn", scale=1, epsilon=1)
+        assert type(spec.scale) is int and type(spec.epsilon) is int
+        assert spec.to_dict()["scale"] == 1
+        assert json.dumps(spec.to_dict()["scale"]) == "1"
+
+
+#: Specs and their keys as recorded before validation moved into the
+#: spec; a key change would orphan every cached result.
+PINNED_KEYS = [
+    (RunSpec(benchmark="micro.syn"), "1660b1d17ca34ef2"),
+    (RunSpec(benchmark="gcc.syn", machine="16-way", scale=0.05,
+             metric="epi", seed=3, epsilon=0.5, confidence=0.95,
+             benchmark_length=12345, checkpoints="auto"),
+     "c2f7e35404efe99f"),
+    (RunSpec(benchmark="mcf.syn", machine="8-way-scaled",
+             strategy=SystematicStrategy(
+                 unit_size=25, n_init=40, max_rounds=1, offset=2,
+                 detailed_warming=64, functional_warming=False)),
+     "018bb8670b913209"),
+    (RunSpec(benchmark="equake.syn", machine="16-way-scaled",
+             strategy=AdaptiveStrategy(unit_size=100, n_min=10, n_max=500,
+                                       batch_size=20)),
+     "29dbad0a069ef6af"),
+    (RunSpec(benchmark="gzip.syn", scale=1,
+             strategy=RandomStrategy(sample_size=50, seed_offset=7)),
+     "335ca81de6c21769"),
+    (RunSpec(benchmark="mesa.syn", epsilon=0.03,
+             strategy=StratifiedStrategy(sample_size=60,
+                                         units_per_interval=10,
+                                         max_phases=4,
+                                         profile_cache=False)),
+     "fa0c8021183dd341"),
+]
+
+
+class TestSpecKeys:
+    @pytest.mark.parametrize("spec,key", PINNED_KEYS)
+    def test_key_is_pinned(self, spec, key):
+        assert spec.key() == key
+        assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
+            .key() == key
+
+    def test_cache_version_is_pinned(self):
+        assert CACHE_VERSION == 4
+
+
+_optional_int = st.one_of(st.none(), st.integers(0, 5000))
+_strategies = st.one_of(
+    st.builds(SystematicStrategy, unit_size=st.integers(1, 500),
+              n_init=st.integers(1, 1000), max_rounds=st.integers(1, 3),
+              offset=st.integers(0, 100), detailed_warming=_optional_int,
+              functional_warming=st.booleans()),
+    st.builds(AdaptiveStrategy, unit_size=st.integers(1, 500),
+              n_min=st.integers(2, 50), n_max=st.none(),
+              batch_size=st.integers(1, 200),
+              detailed_warming=_optional_int),
+    st.builds(RandomStrategy, unit_size=st.integers(1, 500),
+              sample_size=st.integers(1, 1000),
+              seed_offset=st.integers(-100, 100)),
+    st.builds(StratifiedStrategy, unit_size=st.integers(1, 500),
+              sample_size=st.integers(1, 1000),
+              units_per_interval=st.integers(1, 50),
+              max_phases=st.integers(1, 10)),
+)
+_positive = st.one_of(
+    st.integers(1, 10**6),
+    st.floats(min_value=1e-9, max_value=1e6, allow_nan=False,
+              allow_infinity=False))
+_specs = st.builds(
+    RunSpec,
+    benchmark=st.sampled_from(BENCHMARK_NAMES),
+    machine=st.sampled_from(MACHINE_NAMES),
+    strategy=_strategies,
+    scale=_positive,
+    metric=st.sampled_from(["cpi", "epi"]),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=_positive,
+    confidence=st.floats(min_value=1e-6, max_value=1 - 1e-6),
+    benchmark_length=st.one_of(st.none(), st.integers(500, 10**9)),
+    checkpoints=st.sampled_from(["off", "auto"]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_specs)
+def test_from_dict_round_trip_keeps_the_key(spec):
+    payload = json.loads(json.dumps(spec.to_dict()))
+    rebuilt = RunSpec.from_dict(payload)
+    assert rebuilt == spec
+    assert rebuilt.key() == spec.key()
+    assert rebuilt.to_dict() == spec.to_dict()
 
 
 class TestRunResult:

@@ -163,6 +163,44 @@ class TestSweep:
         assert payload[0]["spec"]["strategy"]["name"] == "random"
 
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--benchmarks", "gzip.syn,nope.syn"],
+         "unknown benchmark 'nope.syn'"),
+        (["--machines", "8-way,3-way"], "unknown machine '3-way'"),
+        (["--epsilon", "0"], "epsilon: must be positive"),
+        (["--scale", "nan"], "scale: must be positive"),
+        (["--seed", "-1"], "seed: must be non-negative"),
+    ])
+    def test_invalid_sweep_builds_and_runs_nothing(self, capsys, monkeypatch,
+                                                   flags, message):
+        """A bad value exits 2 before a session, backend or spec runs."""
+        import repro.api.executor as executor
+        import repro.cli as cli
+
+        sessions, executed = [], []
+
+        class CountingSession(cli.Session):
+            def __init__(self, *args, **kwargs):
+                sessions.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        def execute_spec(spec):
+            executed.append(spec)
+            raise AssertionError("an invalid sweep must not execute")
+
+        monkeypatch.setattr(cli, "Session", CountingSession)
+        monkeypatch.setattr(executor, "execute_spec", execute_spec)
+        argv = ["sweep", "--benchmarks", "gzip.syn", "--scale", "0.05"]
+        assert main(argv + flags) == 2
+        assert message in capsys.readouterr().err
+        assert sessions == [] and executed == []
+
+    def test_estimate_invalid_value_exits_2(self, capsys):
+        assert main(["estimate", "micro.syn", "--epsilon", "0"]) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert main(["estimate", "micro.syn", "--unit-size", "0"]) == 2
+        assert "unit_size" in capsys.readouterr().err
+
 class TestStudyCommands:
     def test_study_ls_lists_registry(self, capsys):
         assert main(["study", "ls"]) == 0
@@ -312,7 +350,8 @@ class TestStoreCommands:
 
     def test_checkpoint_gc_dry_run_delegates_to_store(self, capsys):
         self._populate()
-        assert main(["checkpoint", "gc", "--all", "--dry-run"]) == 0
+        assert main(["store", "gc", "--namespaces", "checkpoint,bbv",
+                     "--all", "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "would remove" in out and self.ckpt_name in out
         assert main(["store", "stats", "--json"]) == 0

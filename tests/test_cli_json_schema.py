@@ -1,7 +1,7 @@
 """Schema tests for every machine-readable CLI surface.
 
 The ``--json`` payloads of ``estimate``, ``sweep``, ``experiment`` and
-``checkpoint ls`` are contracts consumed by scripts; these tests pin
+``store ls`` are contracts consumed by scripts; these tests pin
 them with explicit schemas (a small JSON-Schema subset validated by
 hand, so the contract lives in this file, not in a library), including
 the ``--checkpoints`` flag's bookkeeping fields.
@@ -176,12 +176,26 @@ STUDY_RUN_SCHEMA = {
                    "data": {"type": "object"}},
 }
 
-CHECKPOINT_LS_SCHEMA = {
+STORE_LS_SCHEMA = {
     "type": "object",
-    "required": ["directory", "sets", "bbv_profiles"],
+    "required": ["root", "artifacts", "sets", "bbv_profiles", "jobs"],
     "additionalProperties": False,
     "properties": {
-        "directory": STRING,
+        "root": STRING,
+        "artifacts": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["namespace", "name", "size_bytes"],
+                "additionalProperties": False,
+                "properties": {
+                    "namespace": STRING,
+                    "name": STRING,
+                    "size_bytes": INTEGER,
+                },
+            },
+        },
+        "jobs": {"type": "array", "items": {"type": "object"}},
         "bbv_profiles": {
             "type": "array",
             "items": {
@@ -293,17 +307,19 @@ class TestExperimentJson:
 
 
 class TestCheckpointLsJson:
+    """The checkpoint-set and BBV-profile metadata ``store ls`` lists."""
+
     def test_schema_empty_store(self, capsys):
-        payload = run_json(capsys, ["checkpoint", "ls", "--json"])
-        validate(payload, CHECKPOINT_LS_SCHEMA)
+        payload = run_json(capsys, ["store", "ls", "--json"])
+        validate(payload, STORE_LS_SCHEMA)
         assert payload["sets"] == []
 
     def test_schema_after_build(self, capsys):
         assert main(["checkpoint", "build", "gzip.syn", "--scale", "0.05",
                      "--unit-size", "25"]) == 0
         capsys.readouterr()
-        payload = run_json(capsys, ["checkpoint", "ls", "--json"])
-        validate(payload, CHECKPOINT_LS_SCHEMA)
+        payload = run_json(capsys, ["store", "ls", "--json"])
+        validate(payload, STORE_LS_SCHEMA)
         (entry,) = payload["sets"]
         assert entry["benchmark"] == "gzip.syn"
         assert entry["unit_size"] == 25
@@ -315,8 +331,8 @@ class TestCheckpointLsJson:
         store = CheckpointStore()
         store.get_or_profile(resolve_benchmark("gzip.syn", 0.05), 500,
                              max_instructions=20_000)
-        payload = run_json(capsys, ["checkpoint", "ls", "--json"])
-        validate(payload, CHECKPOINT_LS_SCHEMA)
+        payload = run_json(capsys, ["store", "ls", "--json"])
+        validate(payload, STORE_LS_SCHEMA)
         (profile,) = payload["bbv_profiles"]
         assert profile["benchmark"] == "gzip.syn"
         assert profile["interval_size"] == 500

@@ -222,16 +222,30 @@ class TestRetryPolicy:
 # ----------------------------------------------------------------------
 # BatchReport
 # ----------------------------------------------------------------------
+#: A spec that fails permanently in its pool worker under ``_fail_bad``
+#: (an invalid spec can no longer be built, so the failure is injected).
+_BAD = _micro_spec(benchmark="gzip.syn")
+
+
+def _fail_bad(use_cache: bool = False) -> Session:
+    """A two-worker pool session whose worker raises a permanent fault
+    for every ``_BAD`` task (a batch needs two specs to use the pool)."""
+    install_plan({"rules": [{"site": "pool.task", "kind": "raise",
+                             "match": "gzip.syn", "times": None,
+                             "transient": False}]})
+    return Session(use_cache=use_cache, backend="local-pool", max_workers=2)
+
+
 class TestBatchReport:
     def test_partial_failure_contract(self):
         good = _micro_spec()
-        bad = _micro_spec(benchmark="no-such-benchmark")
-        report = Session(use_cache=False).run_batch_report([good, bad])
+        bad = _BAD
+        report = _fail_bad().run_batch_report([good, bad])
         assert len(report) == 2 and not report.ok
         assert len(report.completed) == 1
         (failure,) = report.failures
         assert failure.spec == bad
-        assert failure.error_type == "KeyError"
+        assert failure.error_type == "InjectedFault"
         assert failure.transient is False
         assert report.result_for(bad) is failure
         with pytest.raises(BatchExecutionError) as info:
@@ -239,27 +253,24 @@ class TestBatchReport:
         assert len(info.value.report.completed) == 1
 
     def test_run_batch_raises_but_carries_report(self):
-        session = Session(use_cache=False)
+        session = _fail_bad()
         with pytest.raises(BatchExecutionError) as info:
-            session.run_batch([_micro_spec(),
-                               _micro_spec(benchmark="no-such-benchmark")])
+            session.run_batch([_micro_spec(), _BAD])
         assert len(info.value.report.completed) == 1
-        assert "no-such-benchmark" in str(info.value)
+        assert "gzip.syn" in str(info.value)
 
     def test_round_trip(self):
-        report = Session(use_cache=False).run_batch_report(
-            [_micro_spec(), _micro_spec(benchmark="no-such-benchmark")])
+        report = _fail_bad().run_batch_report([_micro_spec(), _BAD])
         clone = BatchReport.from_dict(report.to_dict())
         assert clone.to_dict() == report.to_dict()
         assert clone.failures[0].row() == report.failures[0].row()
 
     def test_failed_specs_are_not_cached(self):
-        session = Session()
-        report = session.run_batch_report(
-            [_micro_spec(benchmark="no-such-benchmark")])
+        session = _fail_bad(use_cache=True)
+        report = session.run_batch_report([_micro_spec(), _BAD])
         assert not report.ok
-        assert session.executor.cache.get(
-            _micro_spec(benchmark="no-such-benchmark")) is None
+        assert session.executor.cache.get(_micro_spec()) is not None
+        assert session.executor.cache.get(_BAD) is None
 
 
 # ----------------------------------------------------------------------

@@ -301,6 +301,45 @@ class TestValidation:
         assert exc.value.payload["errors"][0]["field"] == "params.volume"
 
 
+
+class TestSpecValidationPath:
+    """Run bodies are validated by ``RunSpec.from_dict`` alone."""
+
+    def test_minimal_body_is_accepted(self, tmp_path):
+        app = create_app(ServerConfig(workers=0))  # nothing drains
+        try:
+            job = ReproClient(app=app).submit_run({"benchmark": "micro.syn"})
+            assert job["status"] == "queued" and job["created"] is True
+            assert job["id"] == f"run-{RunSpec(benchmark='micro.syn').key()}"
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize("body,field", [
+        ({"benchmark": "micro.syn", "scale": float("nan")}, "scale"),
+        ({"benchmark": "micro.syn", "benchmark_length": -5},
+         "benchmark_length"),
+        ({"benchmark": "micro.syn",
+          "strategy": {"name": "systematic", "params": {"unit_size": 0}}},
+         "strategy.params"),
+        ({"spec": {"benchmark": "micro.syn", "seed": -1}}, "seed"),
+        ({"spec": ["micro.syn"]}, "spec"),
+    ])
+    def test_bad_value_is_400(self, client, body, field):
+        with pytest.raises(ServerError) as exc:
+            client.submit_run(body)
+        assert exc.value.status == 400
+        assert [e["field"] for e in exc.value.payload["errors"]] == [field]
+
+    def test_every_fault_of_one_body_is_reported(self, client):
+        with pytest.raises(ServerError) as exc:
+            client.submit_run({"benchmark": "gcc", "machine": "3-way",
+                               "epsilon": 0, "confidence": 1.5,
+                               "scale": float("nan"), "extra": 1})
+        assert exc.value.status == 400
+        assert [e["field"] for e in exc.value.payload["errors"]] == [
+            "benchmark", "machine", "scale", "epsilon", "confidence",
+            "extra"]
+
 class TestHTTPTransport:
     """The real socket path: what `repro-smarts serve` actually runs."""
 

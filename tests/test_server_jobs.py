@@ -289,11 +289,11 @@ class TestServerCLI:
                "submitted_at": 1.0, "started_at": 1.0, "restarts": 0}
         queue.complete("run-x", {"y": 2}, {}, job=job)
         os.utime(queue.directory / "done" / "run-x.json", (1.0, 1.0))
-        assert main(["jobs", "ls"]) == 0
+        assert main(["store", "ls"]) == 0
         out = capsys.readouterr().out
         assert "run-x" in out and "micro.syn" in out
 
-        assert main(["jobs", "ls", "--json"]) == 0
+        assert main(["store", "ls", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["jobs"][0]["id"] == "run-x"
         assert payload["jobs"][0]["status"] == "done"
