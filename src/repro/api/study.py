@@ -156,19 +156,6 @@ class StudyContext:
             checkpoints=self.checkpoints,
         )
 
-    def run_estimations(self, cells: list[tuple[str, str]],
-                        metric: str = "cpi", max_rounds: int = 2) -> dict:
-        """Execute a batch of (machine, benchmark) estimation cells.
-
-        Returns ``{(machine, benchmark): RunResult}``; execution is
-        parallel across cells when ``max_workers`` is set.
-        """
-        specs = [self.estimation_spec(benchmark, machine, metric=metric,
-                                      max_rounds=max_rounds)
-                 for machine, benchmark in cells]
-        results = self.session.run_batch(specs)
-        return dict(zip(cells, results))
-
 
 @lru_cache(maxsize=1)
 def default_context() -> StudyContext:

@@ -305,10 +305,13 @@ def build_checkpoints(
     delta-encoded between consecutive snapshots, so the extra positions
     cost little on disk.
     """
-    if unit_size <= 0:
-        raise ValueError("unit_size must be positive")
-    if stride <= 0:
-        raise ValueError("stride must be positive")
+    errors = [{"field": name, "message": f"must be positive, got {value!r}"}
+              for name, value in (("unit_size", unit_size), ("stride", stride))
+              if value <= 0]
+    if errors:
+        from repro.api.spec import SpecError  # deferred: avoids cycle
+
+        raise SpecError(errors)
     core = create_core(program)
     microarch = MicroarchState(machine)
     microarch.flush()

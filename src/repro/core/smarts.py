@@ -187,27 +187,31 @@ class MeasurementSession:
             return 0
 
         dirty, needed = self._plan_pass(new_indices)
-        to_execute = sorted(needed)
+        to_execute = [self._selected[index] for index in sorted(needed)]
 
         # Re-enter the stream if the core is already past the first
         # unit's entry point (its chain head's warming start).
-        first = self._selected[to_execute[0]]
-        entry = max(first.start - self.detailed_warming, 0)
+        entry = max(to_execute[0].start - self.detailed_warming, 0)
         if self.position > entry:
             self._enter_stream()
+        if self._halt_position is not None:
+            # The stream ends before these units begin.
+            to_execute = [unit for unit in to_execute
+                          if unit.start < self._halt_position]
+
+        # Linked chains: a unit whose warming starts by the end of the
+        # previous one continues its stretch of detailed simulation.
+        chains: list[list[SamplingUnit]] = []
+        for unit in to_execute:
+            if chains and (unit.start - self.detailed_warming
+                           <= chains[-1][-1].end):
+                chains[-1].append(unit)
+            else:
+                chains.append([unit])
 
         measured = 0
-        for index in to_execute:
-            unit = self._selected[index]
-            if (self._halt_position is not None
-                    and unit.start >= self._halt_position):
-                break  # the stream ends before this unit begins
-            record = self._run_unit(unit, record=index in dirty,
-                                    fresh=index in new_indices)
-            if record is not None:
-                self._records[index] = record
-                if index in new_indices:
-                    measured += 1
+        for chain in chains:
+            measured += self._run_chain(chain, dirty, new_indices)
             if self._core.halted:
                 self._note_halt()
                 break
@@ -254,26 +258,33 @@ class MeasurementSession:
             succ = unit
         return dirty, needed
 
-    def _run_unit(self, unit: SamplingUnit, record: bool,
-                  fresh: bool = True) -> UnitRecord | None:
-        """Fast-forward to, warm, and run one unit in detail.
+    def _run_chain(self, chain: list[SamplingUnit], dirty: set[int],
+                   new_indices: set[int]) -> int:
+        """Fast-forward to a linked chain of units and run it in detail.
 
-        This is the per-unit body of the classic SMARTS loop.  With
-        ``record=False`` the unit is executed purely to reconstruct
-        pipeline context (its measurement already exists); with
-        ``record=True, fresh=False`` it is re-measured because a new
-        neighbour changed its context.  Only fresh measurements charge
+        This is the classic SMARTS loop body, once per chain: fast-forward
+        (or restore) to the head's detailed-warming window, then one
+        detailed stretch with the windows ``[W₁, U₁, W₂, U₂, …]``, where
+        ``Wᵢ`` is the warming gap before unit ``i`` (at most W).  A chain
+        has no fast-forward inside it, so the pipeline stays primed
+        across its units, as in a continuous detailed run.
+
+        A unit not in ``dirty`` is executed purely to reconstruct
+        pipeline context (its measurement already exists); a dirty unit
+        not in ``new_indices`` is re-measured because a new neighbour
+        changed its context.  Only fresh measurements charge
         ``instructions_measured`` — everything else is warming work.
+        Records the chain's measurements and returns how many are fresh.
         """
         core, result = self._core, self._bookkeeping
         position = core.instructions_retired
         if position >= self.benchmark_length or core.halted:
             self._note_halt()
-            return None
+            return 0
 
         # Fast-forward up to the start of the detailed-warming window,
         # first jumping over as much of the gap as a checkpoint covers.
-        warm_start = max(unit.start - self.detailed_warming, position)
+        warm_start = max(chain[0].start - self.detailed_warming, position)
         if self.checkpoints is not None:
             index = self.checkpoints.restore_point(warm_start)
             if index is not None and self.checkpoints.position(index) > position:
@@ -295,50 +306,53 @@ class MeasurementSession:
             self._pipeline_stale = True
             if executed < fast_forward:
                 self._note_halt()  # program ended during fast-forward
-                return None
+                return 0
 
-        # Detailed warming (measurements discarded).  The pipeline's
-        # short-history state is only reset when functional
-        # fast-forwarding actually skipped instructions; back-to-back
-        # units (k == 1, the full-detailed degenerate case) keep the
-        # pipeline primed, as a real continuous detailed run would.
+        # The pipeline's short-history state is only reset when
+        # functional fast-forwarding actually skipped instructions;
+        # back-to-back units (k == 1, the full-detailed degenerate case)
+        # keep the pipeline primed, as a real continuous detailed run
+        # would.
         if self._pipeline_stale:
             self._detailed.begin_period()
             self._pipeline_stale = False
-        warm_count = unit.start - core.instructions_retired
-        if warm_count > 0:
-            t0 = time.perf_counter()
-            warm_counters = self._detailed.run(core, warm_count)
-            result.seconds_detailed += time.perf_counter() - t0
-            result.instructions_detailed_warming += warm_counters.instructions
-            if warm_counters.instructions < warm_count:
-                self._note_halt()
-                return None
-
-        # The sampling unit itself (measured unless it is context replay).
+        windows = []
+        end = core.instructions_retired
+        for unit in chain:
+            windows += (unit.start - end, unit.size)
+            end = unit.end
+        counters: list = []
         t0 = time.perf_counter()
-        counters = self._detailed.run(core, unit.size)
+        self._detailed.run(core, windows, counters=counters)
         result.seconds_detailed += time.perf_counter() - t0
-        if core.halted:
-            self._note_halt()
-        if counters.instructions == 0:
-            return None
-        if not record:
-            result.instructions_detailed_warming += counters.instructions
-            return None
-        if fresh:
-            result.instructions_measured += counters.instructions
-        else:
-            result.instructions_detailed_warming += counters.instructions
-        energy = (self._energy_model.total_energy(counters)
-                  if self._energy_model else 0.0)
-        return UnitRecord(
-            index=unit.index,
-            instructions=counters.instructions,
-            cycles=counters.cycles,
-            energy=energy,
-            truncated=counters.instructions < unit.size,
-        )
+
+        # Detailed warming is not measured; a halt leaves every later
+        # window empty.
+        measured = 0
+        for unit, warm_size, warm, unit_counters in zip(
+                chain, windows[::2], counters[::2], counters[1::2]):
+            result.instructions_detailed_warming += warm.instructions
+            executed = unit_counters.instructions
+            if warm.instructions < warm_size or executed == 0:
+                break
+            if unit.index not in dirty:
+                result.instructions_detailed_warming += executed
+                continue
+            if unit.index in new_indices:
+                result.instructions_measured += executed
+                measured += 1
+            else:
+                result.instructions_detailed_warming += executed
+            energy = (self._energy_model.total_energy(unit_counters)
+                      if self._energy_model else 0.0)
+            self._records[unit.index] = UnitRecord(
+                index=unit.index,
+                instructions=executed,
+                cycles=unit_counters.cycles,
+                energy=energy,
+                truncated=executed < unit.size,
+            )
+        return measured
 
     def _note_halt(self) -> None:
         if self._core.halted and self._halt_position is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineCounters:
     """Per-measurement-interval pipeline event counts."""
 

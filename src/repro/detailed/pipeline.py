@@ -4,12 +4,13 @@ This is the repository's stand-in for SimpleScalar's ``sim-outorder``
 (enhanced, per Section 3.2 of the paper, with a store buffer, MSHRs and
 memory-interconnect bottlenecks).  It is an execution-driven,
 timestamp-based out-of-order model.  The functional core executes the
-stream in segments — whole trace-compiled basic blocks on the fastpath
-engine, single interpreted instructions otherwise — and reports only
-each segment's dynamic values (load/store addresses, conditional-branch
-outcomes, the next pc).  The model then walks the segment's static
-instructions in program order against a per-program decode table and
-schedules each one against
+stream in segments — whole trace-compiled basic blocks (or prefixes of
+them, where a window ends inside a block) on the fastpath engine, single
+interpreted instructions otherwise — and reports only each segment's
+dynamic values (load/store addresses, conditional-branch outcomes, the
+next pc).  The model then walks the segment's static instructions in
+program order against a per-program decode table and schedules each one
+against
 
 * fetch bandwidth, I-cache/I-TLB misses and branch-redirect stalls,
 * RUU (register update unit) and LSQ occupancy,
@@ -18,6 +19,12 @@ schedules each one against
 * D-cache/D-TLB misses through a finite MSHR file,
 * store-buffer capacity at commit, and
 * commit bandwidth.
+
+One ``run`` call simulates a stretch of back-to-back *windows* (a SMARTS
+chain's warming gaps and units, a reference pass's trace chunks) and
+reports a counter set per window, read off its running totals at the
+window ends; the per-call costs — binding the memory and branch kernels,
+the prologue, the segment generator — are paid once per stretch.
 
 Compared to a cycle-by-cycle structural simulator the model processes
 each instruction exactly once, which keeps pure-Python simulation rates
@@ -34,6 +41,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapreplace
+from itertools import accumulate
+from numbers import Integral
 
 from repro.branch.unit import branch_kind
 from repro.config.machines import MachineConfig
@@ -71,6 +80,43 @@ _FIELD_BITS = 48
 #: Segments are memoized by ``start << _KEY_BITS | length``; compiled
 #: blocks are at most ``MAX_BLOCK_LENGTH`` (256) long.
 _KEY_BITS = 9
+
+
+def _window(before: tuple, after: tuple) -> PipelineCounters:
+    """The counters between two of ``run``'s snapshots of its running
+    totals (commit clock, the dynamic counters in ``run``'s order, then
+    the packed :data:`_STATIC_FIELDS` sum): differences, so consecutive
+    windows telescope exactly."""
+    statics = after[14] - before[14]
+    bits, mask = _FIELD_BITS, (1 << _FIELD_BITS) - 1
+    return PipelineCounters(  # positional, in field order
+        statics & mask,  # instructions
+        after[0] - before[0],  # cycles
+        after[1] - before[1],  # fetch_accesses
+        after[2] - before[2],  # l1i_misses
+        after[3] - before[3],  # itlb_misses
+        statics >> 4 * bits & mask,  # loads
+        statics >> 5 * bits & mask,  # stores
+        statics >> 6 * bits & mask,  # l1d_accesses
+        after[4] - before[4],  # l1d_misses
+        after[5] - before[5],  # l2_accesses
+        after[6] - before[6],  # l2_misses
+        after[7] - before[7],  # dtlb_misses
+        after[8] - before[8],  # store_forwards
+        statics >> 7 * bits & mask,  # branches
+        after[9] - before[9],  # mispredictions
+        statics >> 8 * bits & mask,  # ialu_ops
+        statics >> 9 * bits & mask,  # imult_ops
+        statics >> 10 * bits & mask,  # fpalu_ops
+        statics >> 11 * bits & mask,  # fpmult_ops
+        statics >> 2 * bits & mask,  # regfile_reads
+        statics >> 3 * bits & mask,  # regfile_writes
+        statics >> bits & mask,  # window_inserts
+        after[11] - before[11],  # ruu_stall_cycles
+        after[12] - before[12],  # lsq_stall_cycles
+        after[13] - before[13],  # store_buffer_stalls
+        after[10] - before[10],  # mshr_stalls
+    )
 
 
 def _decode_table(program: Program, config: MachineConfig) -> tuple:
@@ -131,8 +177,9 @@ class DetailedSimulator:
 
         sim = DetailedSimulator(config, microarch)
         sim.begin_period()                      # cold pipeline
-        sim.run(core, W)                        # detailed warming
-        counters = sim.run(core, U)             # measured sampling unit
+        windows = []
+        sim.run(core, [W, U], counters=windows)  # detailed warming, then
+        warming, unit = windows                  # a measured sampling unit
     """
 
     def __init__(self, config: MachineConfig, microarch: MicroarchState) -> None:
@@ -193,15 +240,24 @@ class DetailedSimulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, core: FunctionalCore, count: int,
-            written: set[int] | None = None) -> PipelineCounters:
-        """Simulate up to ``count`` instructions in detail.
+    def run(self, core: FunctionalCore, count,
+            written: set[int] | None = None,
+            counters: list[PipelineCounters] | None = None
+            ) -> PipelineCounters:
+        """Simulate up to ``count`` instructions in detail, as one stretch.
 
-        Returns the counters (including elapsed cycles) for exactly the
-        instructions processed by this call.  The pipeline clock carries
-        over across consecutive ``run`` calls within one period, so a
-        warming call followed by a measurement call behaves like one
-        continuous stretch of detailed simulation.
+        ``count`` is an instruction count, or a sequence of window sizes
+        (non-negative) that the stretch runs back to back.  Returns the
+        counters (including elapsed cycles) for exactly the instructions
+        processed by this call; ``counters`` (when given) receives one
+        :class:`PipelineCounters` per window, in order.  A stretch of
+        windows reports exactly what one call per window would: the
+        pipeline clock carries over across consecutive ``run`` calls
+        within one period, and a window's counters are differences of
+        the running totals at its ends (cycles are commit-clock
+        differences), so they telescope.  A zero-size window reports
+        zero counters; a halt truncates its window and leaves every
+        later window empty.
 
         ``written`` (when given) collects the memory addresses stored to
         by this call, letting a full-stream reference pass record the
@@ -210,17 +266,19 @@ class DetailedSimulator:
 
         The core executes the instructions in segments
         (:meth:`~repro.functional.simulator.FunctionalCore.trace_segments`:
-        whole compiled blocks on the fastpath engine, single instructions
-        otherwise) and reports only each segment's dynamic values — load
-        and store addresses, conditional-branch outcomes, and the next
-        pc.  Everything static about an instruction comes from the
-        decode table, and the pipeline state lives in locals for the
-        duration of the call.  The caches, TLBs and branch unit are
-        reached through the kernels of
-        :meth:`~repro.memory.hierarchy.MemoryHierarchy.bind` and
+        whole compiled blocks on the fastpath engine, cut at the window
+        ends, single instructions otherwise) and reports only each
+        segment's dynamic values — load and store addresses,
+        conditional-branch outcomes, and the next pc.  Everything static
+        about an instruction comes from the decode table, and the
+        pipeline state lives in locals for the duration of the call.
+        The caches, TLBs and branch unit are reached through the kernels
+        of :meth:`~repro.memory.hierarchy.MemoryHierarchy.bind` and
         :meth:`~repro.branch.unit.BranchUnit.bind`, bound once per call
         and closed in a ``finally``, which writes their statistics back.
         """
+        windows = [count] if isinstance(count, Integral) else list(count)
+        stops = list(accumulate(windows)) if counters is not None else []
         config = self.config
         self._decode(core.program)
         latencies = self.microarch.hierarchy.latencies()
@@ -252,7 +310,7 @@ class DetailedSimulator:
         bw_cycle = self._fetch_bw_cycle
         bw_count = self._fetch_bw_count
         last_fetch_block = self._last_fetch_block
-        last_commit = cycles_start = self._last_commit_cycle
+        last_commit = self._last_commit_cycle
         commits_in_cycle = self._commits_in_cycle
 
         fetch_accesses = l1i_misses = itlb_misses = 0
@@ -260,15 +318,23 @@ class DetailedSimulator:
         store_forwards = mispredictions = mshr_stalls = 0
         ruu_stall_cycles = lsq_stall_cycles = store_buffer_stalls = 0
         segment_at = self._segments.get
-        statics = 0
+        statics = done = 0
         tr: list[int] = []
+        # Running totals at the start and at the last window end reached.
+        start = mark = (last_commit,) + (0,) * 14
+        ends = iter(stops)
+        end = next(ends, -1)
+        while end == 0:
+            counters.append(PipelineCounters())
+            end = next(ends, -1)
 
         access, close_access = self.microarch.hierarchy.bind()
         resolve, close_resolve = self.microarch.branch_unit.bind()
         try:
-            for start, length, next_pc in core.trace_segments(count, tr):
-                segment = (segment_at(start << _KEY_BITS | length)
-                           or self._segment(start, length))
+            for first, length, next_pc in core.trace_segments(
+                    sum(windows), tr, stops):
+                segment = (segment_at(first << _KEY_BITS | length)
+                           or self._segment(first, length))
                 statics += segment[1]
                 k = 0
                 for (pc, fetch_addr, fetch_block, mem, src1, src2, rd,
@@ -432,6 +498,16 @@ class DetailedSimulator:
                     window_push(commit_cycle)
                     if mem:
                         lsq_push(commit_cycle)
+                done += length
+                while done == end:
+                    before, mark = mark, (
+                        last_commit, fetch_accesses, l1i_misses,
+                        itlb_misses, l1d_misses, l2_accesses, l2_misses,
+                        dtlb_misses, store_forwards, mispredictions,
+                        mshr_stalls, ruu_stall_cycles, lsq_stall_cycles,
+                        store_buffer_stalls, statics)
+                    counters.append(_window(before, mark))
+                    end = next(ends, -1)
         finally:
             close_access()
             close_resolve()
@@ -444,21 +520,15 @@ class DetailedSimulator:
         self._last_commit_cycle = last_commit
         self._commits_in_cycle = commits_in_cycle
 
-        counters = PipelineCounters(
-            cycles=last_commit - cycles_start,
-            fetch_accesses=fetch_accesses, l1i_misses=l1i_misses,
-            itlb_misses=itlb_misses, l1d_misses=l1d_misses,
-            l2_accesses=l2_accesses, l2_misses=l2_misses,
-            dtlb_misses=dtlb_misses, store_forwards=store_forwards,
-            mispredictions=mispredictions,
-            ruu_stall_cycles=ruu_stall_cycles,
-            lsq_stall_cycles=lsq_stall_cycles,
-            store_buffer_stalls=store_buffer_stalls,
-            mshr_stalls=mshr_stalls)
-        mask = (1 << _FIELD_BITS) - 1
-        for field, name in enumerate(_STATIC_FIELDS):
-            setattr(counters, name, statics >> (_FIELD_BITS * field) & mask)
-        return counters
+        final = (last_commit, fetch_accesses, l1i_misses, itlb_misses,
+                 l1d_misses, l2_accesses, l2_misses, dtlb_misses,
+                 store_forwards, mispredictions, mshr_stalls,
+                 ruu_stall_cycles, lsq_stall_cycles, store_buffer_stalls,
+                 statics)
+        if end >= 0:  # a halt cut the window that ends at ``end``
+            counters.append(_window(mark, final))
+            counters.extend(PipelineCounters() for _ in ends)
+        return _window(start, final)
 
     def _segment(self, start: int, length: int) -> tuple:
         """The decode rows and packed static counts of one segment shape

@@ -17,6 +17,9 @@ a program into specialized Python closures:
   specialized per opcode — register indices, immediates, and branch
   targets are baked in as constants, attribute lookups and tuple
   unpacking are gone;
+* every budget is exact: a block that a run's budget (or a detailed
+  window end, see :meth:`FastCore.trace_segments`) cuts runs as a
+  compiled *prefix*, so no instruction takes the interpreter;
 * a block whose conditional branch targets its own start iterates
   inside its plain and warm closures, up to a cap the run loop derives
   from the instruction budget and :data:`FLUSH_EVENTS`, so a tight loop
@@ -409,6 +412,8 @@ class CompiledProgram:
     Each closure variant has its own table: plain and trace closures are
     compiled once per program, warm closures once per fetch unit (a
     program warmed under two cache geometries gets two warm closures).
+    A run whose budget ends inside a block executes a *prefix* of it:
+    the block recompiled with its cut point as an extra leader.
     """
 
     def __init__(self, program: Program) -> None:
@@ -422,37 +427,51 @@ class CompiledProgram:
         #: Blocks whose closure is the warm variant, by fetch unit and
         #: then start pc.
         self.warmed: dict[int, dict[int, CompiledBlock]] = {}
+        #: Block prefixes, by ``(variant, unit, start pc, length)``.
+        self.prefixes: dict[tuple, CompiledBlock] = {}
 
-    def _compile(self, table: dict, pc: int, variant: str,
-                 unit: int = 0) -> CompiledBlock:
+    def _compile(self, table: dict, key, pc: int, variant: str,
+                 unit: int = 0, leaders: frozenset[int] | None = None
+                 ) -> CompiledBlock:
         length, halts, loops, source = _generate(
-            self.program, pc, self.leaders, variant, unit)
+            self.program, pc, leaders or self.leaders, variant, unit)
         namespace: dict = {}
         exec(compile(source, f"<fastpath:{self.program.name}:{pc}>", "exec"),
              namespace)
-        table[pc] = CompiledBlock(pc, length, halts, loops,
-                                  namespace[f"_{variant}"])
-        return table[pc]
+        table[key] = block = CompiledBlock(pc, length, halts, loops,
+                                           namespace[f"_{variant}"])
+        return block
 
     def block_at(self, pc: int) -> CompiledBlock:
         """The block at ``pc`` with its plain closure."""
-        return self.plain.get(pc) or self._compile(self.plain, pc, "plain")
+        return self.plain.get(pc) or self._compile(self.plain, pc, pc, "plain")
 
     def trace_at(self, pc: int) -> CompiledBlock:
         """The block at ``pc`` with its trace closure, compiled on first
         use, so functional-only runs never pay for it."""
-        return self.traced.get(pc) or self._compile(self.traced, pc, "trace")
+        return (self.traced.get(pc)
+                or self._compile(self.traced, pc, pc, "trace"))
 
     def warm_at(self, pc: int, unit: int) -> CompiledBlock:
         """The block at ``pc`` with its warm closure for fetch unit
         ``unit``."""
         blocks = self.warmed.setdefault(unit, {})
-        return blocks.get(pc) or self._compile(blocks, pc, "warm", unit)
+        return blocks.get(pc) or self._compile(blocks, pc, pc, "warm", unit)
+
+    def prefix(self, variant: str, pc: int, length: int,
+               unit: int = 0) -> CompiledBlock:
+        """The first ``length`` instructions of the block at ``pc`` (which
+        is longer), as a ``variant`` closure that falls through to
+        ``pc + length``: never a self-loop, never a halt."""
+        key = (variant, unit, pc, length)
+        return self.prefixes.get(key) or self._compile(
+            self.prefixes, key, pc, variant, unit,
+            self.leaders | {pc + length})
 
     @property
     def compiled_blocks(self) -> int:
         """Closures compiled so far, over every variant and unit."""
-        return (len(self.plain) + len(self.traced)
+        return (len(self.plain) + len(self.traced) + len(self.prefixes)
                 + sum(map(len, self.warmed.values())))
 
 
@@ -478,9 +497,12 @@ class FastCore(FunctionalCore):
 
     ``step`` is inherited unchanged (the interpreter stays the oracle);
     the bulk entry points ``run`` and ``run_warmed`` and the detailed
-    timing model's feed ``trace_segments`` execute compiled blocks
-    whenever the remaining budget covers a whole block and fall back to
-    the interpreter for partial-block remainders and foreign callbacks.
+    timing model's feed ``trace_segments`` execute compiled blocks and
+    are budget-exact: a block the budget cuts runs as a compiled prefix,
+    so a run that executes fewer instructions than asked has halted.
+    Only foreign callbacks (anything but a
+    :class:`~repro.functional.warming.FunctionalWarmer`) take the
+    interpreter.
 
     ``blocks_executed`` / ``fallback_instructions`` count executed block
     iterations (a self-loop closure call counts each iteration it ran)
@@ -519,8 +541,9 @@ class FastCore(FunctionalCore):
         budget = self._budget(count)
         executed = 0
         ir, fr, mem = state.int_regs, state.fp_regs, state.memory
-        block_at = self._compiled.block_at
-        size = self._compiled.static_size
+        compiled = self._compiled
+        block_at = compiled.block_at
+        size = compiled.static_size
         pc = state.pc
         halted = state.halted
         while executed < budget and not halted:
@@ -530,7 +553,8 @@ class FastCore(FunctionalCore):
             block = block_at(pc)
             length = block.length
             if executed + length > budget:
-                break
+                block = compiled.prefix("plain", pc, budget - executed)
+                length = block.length
             if block.loops:
                 pc, n = block.run(ir, fr, mem, (budget - executed) // length)
                 executed += n * length
@@ -543,10 +567,6 @@ class FastCore(FunctionalCore):
                     state.halted = halted = True
         state.pc = pc
         self.instructions_retired += executed
-        if executed < count and not self.halted:
-            stepped = FunctionalCore.run(self, count - executed)
-            self.fallback_instructions += stepped
-            executed += stepped
         return executed
 
     def run_warmed(self, count, warmer, written=None):
@@ -575,7 +595,8 @@ class FastCore(FunctionalCore):
             block = blocks.get(pc) or warm_at(pc, unit)
             length = block.length
             if executed + length > budget:
-                break
+                block = compiled.prefix("warm", pc, budget - executed, unit)
+                length = block.length
             if block.loops:
                 # <= 2 * length memory events per iteration
                 pc, n = block.run(
@@ -599,25 +620,22 @@ class FastCore(FunctionalCore):
         self._flush_events(hierarchy, branch_unit, events, branch_events,
                            executed - flushed, written)
         warmer.instructions_warmed += executed
-        if executed < count and not self.halted:
-            stepped = FunctionalCore.run_warmed(self, count - executed,
-                                                warmer, written)
-            self.fallback_instructions += stepped
-            executed += stepped
         return executed
 
-    def trace_segments(self, count, tr):
-        """Whole compiled blocks (trace closures) while the budget covers
-        them; a block that would overrun it is stepped instruction by
-        instruction, so at most ``MAX_BLOCK_LENGTH - 1`` instructions of
-        a call take the interpreter path."""
+    def trace_segments(self, count, tr, stops=()):
+        """Whole compiled blocks (trace closures), cut exactly at the
+        budget and at every position of ``stops`` inside it by running a
+        prefix of the block that would overrun the cut."""
         state = self.state
         budget = self._budget(count)
         executed = 0
         ir, fr, mem = state.int_regs, state.fp_regs, state.memory
-        traced = self._compiled.traced.get
-        trace_at = self._compiled.trace_at
-        size = self._compiled.static_size
+        compiled = self._compiled
+        traced = compiled.traced.get
+        trace_at = compiled.trace_at
+        size = compiled.static_size
+        cuts = iter(sorted({stop for stop in stops if 0 < stop < budget}))
+        cut = next(cuts, budget)
         while executed < budget and not state.halted:
             pc = state.pc
             if pc < 0 or pc >= size:
@@ -625,8 +643,9 @@ class FastCore(FunctionalCore):
                 break
             block = traced(pc) or trace_at(pc)
             length = block.length
-            if executed + length > budget:
-                break
+            if executed + length > cut:
+                block = compiled.prefix("trace", pc, cut - executed)
+                length = block.length
             tr.clear()
             state.pc = next_pc = block.run(ir, fr, mem, tr)
             executed += length
@@ -634,12 +653,9 @@ class FastCore(FunctionalCore):
             self.blocks_executed += 1
             if block.halts:
                 state.halted = True
+            if executed == cut:
+                cut = next(cuts, budget)
             yield pc, length, next_pc
-        if executed < count and not self.halted:
-            for segment in FunctionalCore.trace_segments(
-                    self, count - executed, tr):
-                self.fallback_instructions += 1
-                yield segment
 
     @staticmethod
     def _flush_events(hierarchy, branch_unit, events, branch_events,
@@ -647,9 +663,8 @@ class FastCore(FunctionalCore):
         """Drain buffered warming events into the bulk warmers.
 
         ``fetches`` is the number of instructions the events cover (one
-        fetch each).  Memory events must drain before any
-        per-instruction fallback touches the hierarchy, so callers flush
-        at every boundary.
+        fetch each).  Memory events must drain before anything else
+        touches the hierarchy, so callers flush before they return.
         """
         if events:
             hierarchy.warm_many(events, fetches)

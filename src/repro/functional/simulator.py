@@ -250,7 +250,7 @@ class FunctionalCore:
                 executed += 1
         return executed
 
-    def trace_segments(self, count: int, tr: list[int]):
+    def trace_segments(self, count: int, tr: list[int], stops=()):
         """Execute up to ``count`` instructions for the detailed timing model.
 
         Yields one ``(start_pc, length, next_pc)`` segment per executed
@@ -258,9 +258,12 @@ class FunctionalCore:
         segment) with the segment's dynamic values in program order: the
         address of each load and store and the taken bit (1/0) of each
         conditional branch.  ``next_pc`` is where execution continues,
-        which resolves a closing ``JR``.  The interpreter yields single
-        instructions through :meth:`step`; the trace-compiled engine
-        overrides this with whole compiled blocks.
+        which resolves a closing ``JR``.  A segment boundary falls at
+        every position of ``stops`` (instruction counts from the start
+        of the call), so a caller can read its counters there.  The
+        interpreter yields single instructions through :meth:`step`,
+        which meet any stop; the trace-compiled engine overrides this
+        with whole compiled blocks, cut at the stops.
         """
         step = self.step
         for _ in range(count):
@@ -283,11 +286,10 @@ class FunctionalCore:
         delta).  This is the entry point the trace-compiled engine
         overrides with block-at-a-time execution and bulk warming; the
         implementation here observes per instruction through the
-        interpreter loop (pinned to ``FunctionalCore.run``, because it
-        doubles as the partial-block fallback of the fast engine).
+        interpreter loop.
         """
         if written is None:
-            return FunctionalCore.run(self, count, warmer)
+            return self.run(count, warmer)
         observe = warmer.observe
 
         def observe_and_track(dyn) -> None:
@@ -295,28 +297,11 @@ class FunctionalCore:
             if dyn.is_store:
                 written.add(dyn.mem_addr)
 
-        return FunctionalCore.run(self, count, observe_and_track)
+        return self.run(count, observe_and_track)
 
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def capture_arch(self) -> dict:
-        """Serializable copy of the architectural state at this position.
-
-        Memory is captured in full; callers that want compact snapshots
-        (the checkpoint store) diff it against the program image or a
-        previous capture themselves.
-        """
-        state = self.state
-        return {
-            "position": self.instructions_retired,
-            "pc": state.pc,
-            "halted": state.halted,
-            "int_regs": list(state.int_regs),
-            "fp_regs": list(state.fp_regs),
-            "memory": dict(state.memory),
-        }
-
     def restore_arch(self, position: int, pc: int, halted: bool,
                      int_regs: list[int], fp_regs: list[float],
                      memory_updates: list[dict] | None = None) -> None:

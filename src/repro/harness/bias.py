@@ -58,12 +58,6 @@ class BiasMeasurement:
             return 0.0
         return sum(self.phase_total_errors) / len(self.phase_total_errors)
 
-    @property
-    def worst_phase_error(self) -> float:
-        if not self.phase_errors:
-            return 0.0
-        return max(self.phase_errors, key=abs)
-
 
 def measure_bias(
     program: Program,

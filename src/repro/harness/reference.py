@@ -55,6 +55,10 @@ CACHE_VERSION = 3
 #: Default per-chunk granularity of the reference trace (instructions).
 DEFAULT_CHUNK_SIZE = 25
 
+#: Most trace chunks one detailed call covers: a call holds one counter
+#: set per chunk, so a whole stream runs in several calls.
+CALL_CHUNKS = 1024
+
 register_artifact_kind("reftrace", ".npz", f"--v{CACHE_VERSION}.npz")
 
 
@@ -105,9 +109,9 @@ def run_reference(
     unless a matching set already exists.  The snapshots land on the
     same positions a functional build would use, and since warm state
     evolves identically under both paths, the stored set is
-    bit-equivalent to a functionally built one.  Capture splits the
-    simulation at snapshot positions; per-chunk counters accumulate
-    across the splits, so the trace itself is unchanged.
+    bit-equivalent to a functionally built one.  Capture ends a
+    detailed call at each snapshot position; per-chunk counters
+    accumulate across the split, so the trace itself is unchanged.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -163,44 +167,59 @@ def run_reference(
     total_cycles = 0
     total_energy = 0.0
 
-    start = time.perf_counter()
-    detailed.begin_period()
-    position = 0
-    while True:
-        # One trace chunk, split at snapshot positions when capturing.
-        # PipelineCounters telescope exactly across consecutive run()
-        # calls (cycles are commit-clock differences), so the chunk
-        # counters — and therefore the trace — are bit-identical with
-        # capture on or off.
-        counters = PipelineCounters()
-        chunk_end = position + chunk_size
-        while position < chunk_end:
-            target = chunk_end
-            if next_snap is not None and next_snap < target:
-                target = next_snap
-            segment = detailed.run(core, target - position, written)
-            counters.add(segment)
-            position += segment.instructions
-            if recorder is not None and position == next_snap:
-                recorder.capture(core, microarch, position, written)
-                written = set()
-                next_snap = next(boundary_iter)
-            if segment.instructions < target - (position
-                                                - segment.instructions):
-                break  # program halted mid-segment
-        if counters.instructions == 0:
-            break
+    def add_chunk(counters: PipelineCounters) -> None:
+        nonlocal total_instructions, total_cycles, total_energy
         chunk_total_energy = energy_model.total_energy(counters)
         total_instructions += counters.instructions
         total_cycles += counters.cycles
         total_energy += chunk_total_energy
-        if counters.instructions < chunk_size:
-            # The trailing partial chunk contributes to the full-stream
-            # totals but is excluded from the per-chunk trace so that the
-            # trace aligns exactly with whole sampling units.
-            break
-        chunk_cycles.append(counters.cycles)
-        chunk_energy.append(chunk_total_energy)
+        # A trailing partial chunk contributes to the full-stream totals
+        # but is excluded from the per-chunk trace so that the trace
+        # aligns exactly with whole sampling units.
+        if counters.instructions == chunk_size:
+            chunk_cycles.append(counters.cycles)
+            chunk_energy.append(chunk_total_energy)
+
+    start = time.perf_counter()
+    detailed.begin_period()
+    position = 0
+    chunk = None  # the counters of the chunk in progress
+    halted = False
+    while not (halted or core.halted):
+        # One detailed call per snapshot window (at most CALL_CHUNKS
+        # chunks), with a window per trace chunk, split at the snapshot
+        # position.  PipelineCounters telescope exactly across windows
+        # and calls (cycles are commit-clock differences), so the chunk
+        # counters — and therefore the trace — are bit-identical with
+        # capture on or off.
+        stop = position + CALL_CHUNKS * chunk_size
+        if next_snap is not None and next_snap < stop:
+            stop = next_snap
+        windows = []
+        edge = position
+        while edge < stop:
+            windows.append(min(chunk_size - edge % chunk_size, stop - edge))
+            edge += windows[-1]
+        pieces: list[PipelineCounters] = []
+        detailed.run(core, windows, written, pieces)
+        for size, piece in zip(windows, pieces):
+            position += piece.instructions
+            if chunk is None:
+                chunk = piece
+            else:
+                chunk.add(piece)
+            if piece.instructions < size:
+                halted = True  # the program halted in this window
+                break
+            if position % chunk_size == 0:
+                add_chunk(chunk)
+                chunk = None
+        if recorder is not None and position == next_snap:
+            recorder.capture(core, microarch, position, written)
+            written = set()
+            next_snap = next(boundary_iter)
+    if chunk is not None and chunk.instructions:
+        add_chunk(chunk)
     seconds = time.perf_counter() - start
     record_pass("reference", program.name, total_instructions)
 

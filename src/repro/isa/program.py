@@ -78,9 +78,6 @@ class Program:
         """Number of static instructions."""
         return len(self.instructions)
 
-    def instruction_at(self, index: int) -> Instruction:
-        return self.instructions[index]
-
     def basic_block_leaders(self) -> list[int]:
         """Return the sorted list of static basic block leader indices.
 

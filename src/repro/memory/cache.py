@@ -81,15 +81,6 @@ class SetAssociativeCache:
         self._sets: list[list[list]] = [[] for _ in range(self.num_sets)]
 
     # ------------------------------------------------------------------
-    # Address mapping
-    # ------------------------------------------------------------------
-    def block_address(self, address: int) -> int:
-        return address // self.block_bytes
-
-    def set_index(self, address: int) -> int:
-        return (address // self.block_bytes) % self.num_sets
-
-    # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def access(self, address: int, is_write: bool = False) -> bool:

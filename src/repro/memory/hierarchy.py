@@ -33,10 +33,6 @@ class AccessResult:
     level: str
     tlb_miss: bool
 
-    @property
-    def l1_hit(self) -> bool:
-        return self.level == L1
-
 
 class MemoryHierarchy:
     """L1 I/D caches, unified L2, and I/D TLBs."""

@@ -52,9 +52,6 @@ class TLB:
         self.stats = TLBStats()
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
 
-    def page_number(self, address: int) -> int:
-        return address // self.page_bytes
-
     def access(self, address: int) -> bool:
         """Translate ``address``; returns True on TLB hit."""
         vpn = address // self.page_bytes

@@ -20,7 +20,6 @@ process boundaries (queue workers, the HTTP job server) unchanged.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -57,15 +56,6 @@ class SpecFailure:
         return cls(spec=spec, error=str(exc) or type(exc).__name__,
                    error_type=type(exc).__name__, attempts=attempts,
                    transient=classify_transient(exc))
-
-    @classmethod
-    def from_current_exception(cls, spec: "RunSpec", exc: BaseException,
-                               attempts: int = 1) -> "SpecFailure":
-        """Like :meth:`from_exception` but keeps the full traceback text."""
-        failure = cls.from_exception(spec, exc, attempts)
-        failure.error = "".join(traceback.format_exception(
-            type(exc), exc, exc.__traceback__)).strip()
-        return failure
 
     def to_dict(self) -> dict:
         return {
@@ -170,9 +160,6 @@ class BatchReport:
             if entry.spec == spec:
                 return entry
         return None
-
-    def failure_rows(self) -> list[dict]:
-        return [failure.row() for failure in self.failures]
 
     # ------------------------------------------------------------------
     # Serialization

@@ -105,6 +105,14 @@ def run_simpoint(
     detailed simulation of each interval.  Simulation terminates after
     the last chosen interval (SimPoint's early-termination advantage).
     """
+    errors = [{"field": name, "message": f"must be positive, got {value!r}"}
+              for name, value in (("interval_size", interval_size),
+                                  ("max_clusters", max_clusters))
+              if value <= 0]
+    if errors:
+        from repro.api.spec import SpecError  # deferred: avoids cycle
+
+        raise SpecError(errors)
     start = time.perf_counter()
     if profile is None:
         profile = profile_bbv(program, interval_size)

@@ -90,6 +90,16 @@ class TestCommands:
         assert "CPI estimate" in out
         assert "clusters" in out
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--interval-size", "interval_size"),
+        ("--max-clusters", "max_clusters")])
+    def test_nonpositive_simpoint_value_exits_2(self, capsys, flag, field):
+        code = main(["simpoint", "micro.syn", flag, "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
     def test_experiment_table3(self, capsys):
         before = default_context().checkpoints
         code = main(["study", "run", "table3", "--checkpoints"])
@@ -287,6 +297,14 @@ class TestCheckpointBatchBuild:
                      "--machines", "32-way"])
         assert code == 2
         assert "unknown machine" in capsys.readouterr().err
+
+    def test_nonpositive_stride_exits_2(self, capsys):
+        code = main(["checkpoint", "build", "micro.syn", "--unit-size", "25",
+                     "--stride", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stride" in err
+        assert "Traceback" not in err
 
 
 class TestStoreCommands:

@@ -33,6 +33,8 @@ import pytest
 from repro.api import RunSpec, StratifiedStrategy, SystematicStrategy, run_spec
 from repro.branch.unit import BranchUnit
 from repro.checkpoint import build_checkpoints
+from repro.core.sampling import SystematicSamplingPlan
+from repro.core.smarts import SmartsEngine
 from repro.config.machines import (
     CONFIGURATIONS,
     BranchConfig,
@@ -58,7 +60,6 @@ from repro.functional.fastpath import (
     EVENT_LOAD,
     EVENT_STORE,
     FLUSH_EVENTS,
-    MAX_BLOCK_LENGTH,
     FastCore,
     compiled_program,
 )
@@ -750,8 +751,10 @@ class TestDispatchCounts:
 
 
 class TestDetailedDispatchCounts:
-    """The detailed timing model is fed by compiled blocks (``run_trace``)
-    and steps only the remainder of a block a call's budget cuts."""
+    """The detailed timing model is fed by compiled blocks (trace
+    closures, or prefixes of them where a budget or window ends inside
+    a block) and never steps the interpreter; a SMARTS run makes one
+    detailed call per linked chain of units."""
 
     def test_dense_detailed_runs_retire_through_blocks(self, machine_8way):
         # The ``dense`` benchmark shape: one detailed-warming window, then
@@ -759,17 +762,43 @@ class TestDetailedDispatchCounts:
         program = small_program("gcc.syn")
         core = FastCore(program)
         sim = DetailedSimulator(machine_8way, MicroarchState(machine_8way))
-        calls = instructions = 0
+        instructions = 0
         for count in itertools.chain([2_000], itertools.repeat(50)):
             executed = sim.run(core, count).instructions
-            calls += 1
             instructions += executed
             if executed < count:
                 break
         assert instructions > 10_000
-        stepped = core.fallback_instructions
-        assert (instructions - stepped) / instructions >= 0.95
-        assert stepped <= (MAX_BLOCK_LENGTH - 1) * calls
+        assert core.fallback_instructions == 0
+
+    @pytest.mark.parametrize("interval, warming", [(1, 2_000), (2, 50),
+                                                   (3, 100), (5, 100)])
+    def test_one_detailed_call_per_linked_chain(self, monkeypatch,
+                                                machine_8way, interval,
+                                                warming):
+        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
+        program = small_program("gcc.syn")
+        length = measure_program_length(program)
+        plan = SystematicSamplingPlan(unit_size=50, interval=interval,
+                                      offset=interval - 1,
+                                      detailed_warming=warming)
+        calls = []
+        real = DetailedSimulator.run
+
+        def counting(self, core, count, *args, **kwargs):
+            calls.append(core)
+            return real(self, core, count, *args, **kwargs)
+
+        monkeypatch.setattr(DetailedSimulator, "run", counting)
+        result = SmartsEngine(machine_8way).run(program, plan, length)
+        # A unit is linked to its predecessor when its warming window
+        # starts by the predecessor's end.
+        units = list(plan.units(length))
+        chains = 1 + sum(1 for prev, unit in zip(units, units[1:])
+                         if unit.start - warming > prev.end)
+        assert len(result.units) == len(units) > 20
+        assert len(calls) == chains
+        assert all(core.fallback_instructions == 0 for core in calls)
 
     def test_functional_paths_compile_no_trace_closures(self, monkeypatch,
                                                         machine_8way):

@@ -144,3 +144,40 @@ def test_capture_respects_disabled_store(micro, machine_8way):
                         capture_units=UNIT, checkpoint_store=disabled)
     assert ref.instructions > 0
     assert CheckpointStore().get(micro.program, machine_8way, UNIT) is None
+
+
+def test_one_detailed_call_per_snapshot_window(micro, machine_8way,
+                                               monkeypatch):
+    """The reference pass runs each snapshot window (or, without
+    capture, each stretch of ``CALL_CHUNKS`` chunks) in one detailed
+    call, with a window per trace chunk, and the trace is unchanged."""
+    from repro.detailed.pipeline import DetailedSimulator
+    from repro.harness import reference
+
+    calls = []
+    real = DetailedSimulator.run
+
+    def counting(self, core, count, *args, **kwargs):
+        calls.append(count)
+        return real(self, core, count, *args, **kwargs)
+
+    monkeypatch.setattr(DetailedSimulator, "run", counting)
+    plain = run_reference(micro.program, machine_8way, use_cache=False)
+    assert len(calls) == 1
+    assert len(calls[0]) == reference.CALL_CHUNKS
+
+    calls.clear()
+    monkeypatch.setattr(reference, "CALL_CHUNKS", 64)
+    batched = run_reference(micro.program, machine_8way, use_cache=False)
+    assert len(calls) == -(-plain.instructions // (64 * 25))
+    np.testing.assert_array_equal(batched.chunk_cycles, plain.chunk_cycles)
+    np.testing.assert_array_equal(batched.chunk_energy, plain.chunk_energy)
+
+    calls.clear()
+    captured = run_reference(micro.program, machine_8way, use_cache=False,
+                             capture_units=UNIT)
+    snapshots = CheckpointStore().get(micro.program, machine_8way,
+                                      UNIT).snapshots
+    assert len(calls) == len(snapshots) + 1
+    np.testing.assert_array_equal(captured.chunk_cycles, plain.chunk_cycles)
+    np.testing.assert_array_equal(captured.chunk_energy, plain.chunk_energy)
