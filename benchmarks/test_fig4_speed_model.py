@@ -17,6 +17,7 @@ def test_figure4_modeled_simulation_rate(benchmark, ctx):
     data = benchmark.pedantic(
         lambda: run_study("fig4", ctx).data, rounds=1, iterations=1)
     record_report("fig4_speed_model", data["report"])
+    record_report("fig4_speed_model", data["measured_report"], host_timed=True)
 
     curves = data["curves"]
     today = dict(curves["S_D=1/60"])

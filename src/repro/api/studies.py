@@ -44,7 +44,6 @@ from repro.harness.cv_analysis import (
     minimum_measured_instructions,
 )
 from repro.harness.reporting import format_table, percent, unsigned_percent
-from repro.harness.runtime import measure_rates
 from repro.simpoint.estimator import run_simpoint
 from repro.workloads.suite import EXTRA_NAMES
 from repro.api.resultset import ResultSet
@@ -183,7 +182,7 @@ def _fig4_analyze(ctx: StudyContext, results: ResultSet,
 
     Evaluated at paper scale (a gcc-sized benchmark with U = 1000 and
     n = 10,000 sampling units) with the paper's S_D values, plus one
-    curve using this repository's measured rates.
+    curve using this host's measured rates (in ``measured_report``).
     """
     paper_length = 46_900_000_000       # gcc-1 dynamic length (paper: ~47B)
     sample_size = 10_000
@@ -212,32 +211,35 @@ def _fig4_analyze(ctx: StudyContext, results: ResultSet,
         for warming in warming_values
     ]
 
-    # Our measured rates on the calibration benchmark.
-    benchmark = ctx.benchmark(benchmark_name)
-    measured = measure_rates(benchmark.program, ctx.machine("8-way"))
+    rows = [[warming] + [round(dict(curve)[warming], 4)
+                         for curve in curves.values()]
+            for warming in warming_values]
+    report = format_table(
+        ["W"] + list(curves), rows,
+        title="Figure 4: modeled SMARTS simulation rate (normalized to "
+              "functional simulation) vs detailed warming W")
+
+    # This host's measured rates on the calibration benchmark.
+    measured = ctx.measured_rates(benchmark_name, "8-way")
     our_rates = measured.to_simulator_rates()
     length = ctx.benchmark_length(benchmark_name)
     our_sample = max(1, ctx.n_init)
-    curves["measured rates (this repo, functional warming)"] = [
+    label = "measured rates (this repo, functional warming)"
+    curves[label] = measured_curve = [
         (warming, paper_rate(
             SamplingWorkload(length, our_sample, ctx.unit_size,
                              min(warming, ctx.warming(ctx.machine("8-way")))),
             our_rates, functional_warming=True))
         for warming in warming_values
     ]
-
-    rows = []
-    for warming in warming_values:
-        row = [warming]
-        for label in curves:
-            value = dict(curves[label])[warming]
-            row.append(round(value, 4))
-        rows.append(row)
-    report = format_table(
-        ["W"] + list(curves), rows,
-        title="Figure 4: modeled SMARTS simulation rate (normalized to "
-              "functional simulation) vs detailed warming W")
-    return {"curves": curves, "measured_rates": measured, "report": report}
+    measured_report = format_table(
+        ["W", "rate"], [[w, round(rate, 4)] for w, rate in measured_curve],
+        title=f"Figure 4 (measured rates): modeled SMARTS simulation rate "
+              f"with functional warming, this host's rates on "
+              f"{benchmark_name} (8-way): S_D={measured.s_detailed:.3f}, "
+              f"S_FW={measured.s_warming:.3f}")
+    return {"curves": curves, "measured_rates": measured, "report": report,
+            "measured_report": measured_report}
 
 
 def _fig4_tidy(data: dict) -> list[dict]:
@@ -521,14 +523,15 @@ def _fig7_analyze(ctx: StudyContext, results: ResultSet,
 # ----------------------------------------------------------------------
 def _table6_analyze(ctx: StudyContext, results: ResultSet,
                     machine_name: str = "8-way") -> dict:
-    """Table 6: projected runtimes and speedups, paper-scale and measured."""
+    """Table 6: projected runtimes and speedups, paper-scale and measured
+    (this host's rates, in ``measured_report``)."""
     machine = ctx.machine(machine_name)
-    calibration = ctx.benchmark(ctx.subset(1)[0])
-    measured = measure_rates(calibration.program, machine)
+    calibration = ctx.subset(1)[0]
+    measured = ctx.measured_rates(calibration, machine_name)
     our_rates = measured.to_simulator_rates()
     paper_rates = SimulatorRates.paper(PAPER_SD_TODAY)
 
-    rows = []
+    model_rows, measured_rows = [], []
     details: dict[str, dict] = {}
     for name in ctx.suite_names:
         length = ctx.benchmark_length(name)
@@ -563,23 +566,29 @@ def _table6_analyze(ctx: StudyContext, results: ResultSet,
             "speedup": speedup,
             "paper_scale_speedup": paper_speedup,
         }
-        rows.append([
+        model_rows.append([name, round(paper_speedup, 1)])
+        measured_rows.append([
             name,
             round(detailed_s, 1),
             round(functional_s, 1),
             round(smarts_s, 1),
             round(speedup, 1),
-            round(paper_speedup, 1),
         ])
 
     average_speedup = float(np.mean([d["speedup"] for d in details.values()]))
     paper_average = float(np.mean([d["paper_scale_speedup"] for d in details.values()]))
     report = format_table(
+        ["benchmark", "speedup (paper-scale model)"], model_rows,
+        title=f"Table 6: SMARTS speedup over detailed simulation "
+              f"({machine_name}), paper-scale model: the paper's rates, "
+              f"U=1000, n=10,000")
+    measured_report = format_table(
         ["benchmark", "detailed (s)", "functional (s)", "SMARTS (s)",
-         "speedup (this repo)", "speedup (paper-scale model)"],
-        rows,
-        title=f"Table 6: runtimes for SMARTS compared to detailed and "
-              f"functional simulation ({machine_name}); measured rates: "
+         "speedup (this repo)"],
+        measured_rows,
+        title=f"Table 6 (measured rates): runtimes for SMARTS compared to "
+              f"detailed and functional simulation ({machine_name}); this "
+              f"host's rates on {calibration}: "
               f"S_D={measured.s_detailed:.3f}, S_FW={measured.s_warming:.3f}")
 
     checkpoint = _table6_checkpoint_analyze(ctx, machine_name=machine_name)
@@ -587,7 +596,8 @@ def _table6_analyze(ctx: StudyContext, results: ResultSet,
     return {"details": details, "measured_rates": measured,
             "average_speedup": average_speedup,
             "paper_scale_average_speedup": paper_average,
-            "checkpoint": checkpoint, "report": report}
+            "checkpoint": checkpoint, "report": report,
+            "measured_report": measured_report}
 
 
 def _table6_checkpoint_analyze(ctx: StudyContext,

@@ -63,6 +63,7 @@ class StudyContext:
         self._benchmarks: dict[str, Benchmark] = {}
         self._lengths: dict[str, int] = {}
         self._references: dict[tuple[str, str], ReferenceResult] = {}
+        self._rates: dict[tuple[str, str], object] = {}
         self._machines = {"8-way": scaled_8way(), "16-way": scaled_16way()}
         self._session = None
 
@@ -109,6 +110,20 @@ class StudyContext:
                                if self.checkpoints == "auto" else None),
             )
         return self._references[key]
+
+    def measured_rates(self, benchmark_name: str, machine_name: str):
+        """This host's simulator rates on one benchmark and machine
+        (:func:`repro.harness.runtime.measure_rates`), measured once per
+        context so every study that reports them reports one
+        measurement."""
+        key = (benchmark_name, machine_name)
+        if key not in self._rates:
+            from repro.harness.runtime import measure_rates
+
+            self._rates[key] = measure_rates(
+                self.benchmark(benchmark_name).program,
+                self.machine(machine_name))
+        return self._rates[key]
 
     def subset(self, count: int) -> list[str]:
         """A smaller, behaviourally diverse subset for expensive sweeps."""

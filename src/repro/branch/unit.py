@@ -65,55 +65,16 @@ class BranchUnit:
 
         Mirrors SimpleScalar's per-branch flow: direction prediction for
         conditional branches, target prediction through the BTB (or RAS
-        for returns), then training with the resolved outcome.  The
-        combined predictor's predict-and-train of a conditional branch
-        is inlined (tables hoisted into locals) because the detailed
-        timing model calls this once per simulated branch.
+        for returns), then training with the resolved outcome.
 
-        This per-structure path is the specification the detailed timing
-        model's :meth:`bind` kernel is tested against.  A kernel is valid
-        for one ``run`` call only: a restore, :meth:`reset` or
-        :meth:`reset_stats` replaces the tables and counters it holds.
+        This per-structure path is the specification the :meth:`bind`
+        kernel is tested against.
         """
         btb = self.btb
         if kind == 0:
-            predictor = self.predictor
-            bim = predictor.bimodal.table
-            bim_counters = bim.counters
-            bim_index = pc & bim.mask
-            gsh = predictor.gshare
-            gsh_counters = gsh.table.counters
-            gsh_index = (pc ^ gsh.history) & gsh.table.mask
-            meta = predictor.meta
-            taken_at = bim.TAKEN_THRESHOLD
-            max_value = bim.MAX_VALUE
-            bim_pred = bim_counters[bim_index] >= taken_at
-            gsh_pred = gsh_counters[gsh_index] >= taken_at
-            meta_index = pc & meta.mask
-            use_gshare = meta.counters[meta_index] >= taken_at
-            predicted_taken = gsh_pred if use_gshare else bim_pred
+            predicted_taken = self.predictor.predict(pc)
             predicted_target = btb.lookup(pc) if predicted_taken else pc + 1
-            # CombinedPredictor.update(pc, taken)
-            if bim_pred != gsh_pred:
-                value = meta.counters[meta_index]
-                if gsh_pred == taken:
-                    if value < max_value:
-                        meta.counters[meta_index] = value + 1
-                elif value > 0:
-                    meta.counters[meta_index] = value - 1
-            value = bim_counters[bim_index]
-            if taken:
-                if value < max_value:
-                    bim_counters[bim_index] = value + 1
-            elif value > 0:
-                bim_counters[bim_index] = value - 1
-            value = gsh_counters[gsh_index]
-            if taken:
-                if value < max_value:
-                    gsh_counters[gsh_index] = value + 1
-            elif value > 0:
-                gsh_counters[gsh_index] = value - 1
-            gsh.history = ((gsh.history << 1) | bool(taken)) & gsh.history_mask
+            self.predictor.update(pc, taken)
         elif kind == 2:  # JR
             predicted_taken = True
             predicted_target = self.ras.pop()
@@ -152,10 +113,11 @@ class BranchUnit:
         entry is already MRU, so the install only writes the target.
 
         As in the timing model, a JAL, JR or JUMP (kinds 1–3) is always
-        taken, so ``taken`` is only read for a conditional branch.  The
-        kernel is valid until ``close()`` within one detailed ``run``
-        call: a restore, :meth:`reset` or :meth:`reset_stats` replaces
-        the tables and counters it holds.
+        taken, so ``taken`` is only read for a conditional branch.  A
+        kernel is valid for one detailed ``run`` call or one
+        :meth:`warm_many` call, until its ``close()``: a restore,
+        :meth:`reset` or :meth:`reset_stats` replaces the tables and
+        counters it holds.
         """
         predictor = self.predictor
         bim_table = predictor.bimodal.table
@@ -316,134 +278,50 @@ class BranchUnit:
         """Bulk :meth:`warm`: replay a stream of branch outcomes.
 
         ``events`` holds four ints per branch — ``kind, pc, taken,
-        target`` with kind 0 = conditional, 1 = JAL, 2 = JR, 3 = JUMP
-        (the encoding produced by the trace-compiled engine).  The state
-        evolution — all three predictor tables, global history, BTB
-        recency/contents (including the mirrored predicted-taken
-        lookup), RAS, and BTB statistics — is exactly that of calling
-        :meth:`warm` per branch; the per-structure logic is inlined with
-        tables and masks hoisted into locals because this loop runs once
-        per warmed branch.
+        target`` in the :func:`branch_kind` encoding (JAL, JR and JUMP
+        always taken), as the trace-compiled engine emits them.  It
+        leaves exactly the state and BTB statistics of :meth:`warm` per
+        branch: conditional branches run through one :meth:`bind`
+        kernel, JAL/JR/JUMP through the RAS and BTB methods (which count
+        no lookup, as :meth:`warm` does), and the kernel's branch and
+        misprediction counts are dropped.
 
-        A conditional event identical to the previous event of the same
-        call changes nothing when that event left history all ones, the
-        bimodal and next gshare counters saturated (both predict taken,
-        so the meta table is not trained) and its BTB entry MRU with the
-        same target (a taken update puts it there) — or, not taken,
-        history and both counters zero; such a steady repeat only counts
-        its BTB lookup and hit, if taken.  The rule never looks back
-        across calls: a detailed run or restore may change the state.
+        Once ``history_bits + 3`` identical conditional events have run
+        back to back, the rest of the run changes nothing: history is
+        fixed, so three updates have saturated both counters at fixed
+        indices, the meta table is not trained while they agree, and a
+        taken entry is MRU.  Such a repeat only counts its BTB lookup and
+        hit, if taken.  The rule reads no state, so it holds in any call.
         """
-        predictor = self.predictor
-        bim_table = predictor.bimodal.table
-        bim_counters, bim_mask = bim_table.counters, bim_table.mask
-        gsh = predictor.gshare
-        gsh_counters, gsh_mask = gsh.table.counters, gsh.table.mask
-        history, history_mask = gsh.history, gsh.history_mask
-        meta_table = predictor.meta
-        meta_counters, meta_mask = meta_table.counters, meta_table.mask
-        taken_at = bim_table.TAKEN_THRESHOLD
-        max_value = bim_table.MAX_VALUE
-        btb = self.btb
-        btb_sets, btb_nsets, btb_assoc = btb._sets, btb.num_sets, btb.assoc
-        btb_lookups = btb_hits = 0
-        ras_stack, ras_entries = self.ras._stack, self.ras.entries
-
-        i = 0
-        count = len(events)
+        resolve, close = self.bind()
+        push, pop, update = self.ras.push, self.ras.pop, self.btb.update
+        steady = self.predictor.gshare.history_bits + 3
         last_pc = last_taken = last_target = -1
-        while i < count:
-            kind = events[i]
-            pc = events[i + 1]
-            taken = events[i + 2]
-            target = events[i + 3]
-            i += 4
-            if kind == 0:  # conditional: predict (+BTB lookup), then train
-                if (pc == last_pc and taken == last_taken
-                        and target == last_target
-                        and history == (history_mask if taken else 0)
-                        and bim_counters[pc & bim_mask]
-                        == gsh_counters[(pc ^ history) & gsh_mask]
-                        == (max_value if taken else 0)):
-                    # A steady repeat leaves the state as it is, so every
-                    # identical event after it is one too.
-                    j = i
-                    while (j < count and events[j + 1] == pc
-                           and events[j] == 0 and events[j + 2] == taken
-                           and events[j + 3] == target):
-                        j += 4
-                    if taken:
-                        btb_lookups += (j - i) // 4 + 1
-                        btb_hits += (j - i) // 4 + 1
-                    i = j
-                    continue
-                last_pc, last_taken, last_target = pc, taken, target
-                gsh_index = (pc ^ history) & gsh_mask
-                if meta_counters[pc & meta_mask] >= taken_at:
-                    predicted = gsh_counters[gsh_index] >= taken_at
-                else:
-                    predicted = bim_counters[pc & bim_mask] >= taken_at
-                if predicted:
-                    btb_set = btb_sets[pc % btb_nsets]
-                    tag = pc // btb_nsets
-                    btb_lookups += 1
-                    for j, entry in enumerate(btb_set):
-                        if entry[0] == tag:
-                            if j != len(btb_set) - 1:
-                                btb_set.append(btb_set.pop(j))
-                            btb_hits += 1
-                            break
-                # CombinedPredictor.update(pc, taken)
-                bim_index = pc & bim_mask
-                bim_pred = bim_counters[bim_index] >= taken_at
-                gsh_pred = gsh_counters[gsh_index] >= taken_at
-                if bim_pred != gsh_pred:
-                    meta_index = pc & meta_mask
-                    value = meta_counters[meta_index]
-                    if gsh_pred == taken:
-                        if value < max_value:
-                            meta_counters[meta_index] = value + 1
-                    elif value > 0:
-                        meta_counters[meta_index] = value - 1
-                value = bim_counters[bim_index]
-                if taken:
-                    if value < max_value:
-                        bim_counters[bim_index] = value + 1
-                elif value > 0:
-                    bim_counters[bim_index] = value - 1
-                value = gsh_counters[gsh_index]
-                if taken:
-                    if value < max_value:
-                        gsh_counters[gsh_index] = value + 1
-                elif value > 0:
-                    gsh_counters[gsh_index] = value - 1
-                history = ((history << 1) | taken) & history_mask
-            else:
+        run = skipped = 0
+        stream = iter(events)
+        for kind, pc, taken, target in zip(stream, stream, stream, stream):
+            if kind:
                 last_pc = -1
-                if kind == 1:  # JAL: push the return address
-                    if len(ras_stack) >= ras_entries:
-                        ras_stack.pop(0)
-                    ras_stack.append(pc + 1)
-                elif kind == 2:  # JR: consume the predicted return
-                    if ras_stack:
-                        ras_stack.pop()
-            if taken:  # every taken branch installs/refreshes its target
-                btb_set = btb_sets[pc % btb_nsets]
-                tag = pc // btb_nsets
-                for j, entry in enumerate(btb_set):
-                    if entry[0] == tag:
-                        entry[1] = target
-                        if j != len(btb_set) - 1:
-                            btb_set.append(btb_set.pop(j))
-                        break
-                else:
-                    if len(btb_set) >= btb_assoc:
-                        btb_set.pop(0)
-                    btb_set.append([tag, target])
-
-        gsh.history = history
-        btb.lookups += btb_lookups
-        btb.hits += btb_hits
+                if kind == 1:
+                    push(pc + 1)
+                elif kind == 2:
+                    pop()
+                update(pc, target)
+                continue
+            if pc == last_pc and taken == last_taken and target == last_target:
+                if run >= steady:
+                    skipped += taken
+                    continue
+                run += 1
+            else:
+                last_pc, last_taken, last_target = pc, taken, target
+                run = 1
+            resolve(pc, 0, taken, target)
+        branches, mispredictions = self.branches, self.mispredictions
+        close()
+        self.branches, self.mispredictions = branches, mispredictions
+        self.btb.lookups += skipped
+        self.btb.hits += skipped
 
     # ------------------------------------------------------------------
     # Statistics / state management

@@ -78,6 +78,10 @@ from repro.api import (
     to_jsonable,
 )
 
+#: A study payload's text reports, printed in this order by ``study run``:
+#: what regenerates exactly, then what this host's timings produced.
+TEXT_REPORTS = ("report", "measured_report")
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--machine", choices=MACHINE_NAMES,
@@ -606,10 +610,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
                               "rows": _to_jsonable(report.rows),
                               "data": {k: _to_jsonable(v)
                                        for k, v in report.data.items()
-                                       if k != "report"}},
+                                       if k not in TEXT_REPORTS}},
                              indent=2, sort_keys=True))
             return 0
-        print(report.report)
+        print("\n\n".join(report.data[k] for k in TEXT_REPORTS
+                           if k in report.data))
         return 0
 
     # report: tidy rows as CSV/JSON, to stdout or a file.

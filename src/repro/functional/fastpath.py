@@ -30,7 +30,9 @@ a program into specialized Python closures:
   stream* (instruction-fetch and data addresses, branch outcomes) to
   flat integer lists, which :class:`FastCore` hands in batches to the
   bulk entry points :meth:`repro.memory.hierarchy.MemoryHierarchy.warm_many`
-  and :meth:`repro.branch.unit.BranchUnit.warm_many`;
+  (an inlined loop over the cache and TLB logic) and
+  :meth:`repro.branch.unit.BranchUnit.warm_many` (the detailed model's
+  bound branch kernel, one per batch);
 * the trace variant, compiled only when a block first runs in detail,
   appends just the values the detailed timing model cannot know
   statically (load/store addresses, conditional-branch outcomes), so

@@ -293,7 +293,12 @@ class MemoryHierarchy:
         inlined here (structure state hoisted into locals, the MRU entry
         of a set checked before scanning it, no per-access
         :class:`AccessResult`) because this loop runs for every
-        functionally warmed instruction.
+        functionally warmed instruction.  Unlike
+        :meth:`~repro.branch.unit.BranchUnit.warm_many` it does not go
+        through :meth:`bind`: feeding each event to the kernel's
+        ``access`` left identical state and statistics but cost a closure
+        call per event, ~30% more memory-warming time on equake and gcc
+        and 9–15% less ``sampled`` benchmark throughput.
 
         Event order is preserved, which matters: the instruction and
         data paths share L2, so their relative miss order is visible in

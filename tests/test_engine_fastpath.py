@@ -242,6 +242,23 @@ def _loop_stream(rng, btb_sets, events=12_000):
     return stream
 
 
+def _counter_drain_stream(pc, history_bits, taken, other_pc):
+    """A run of ``history_bits + 10`` identical conditional events at
+    ``pc`` whose gshare counter (at the all-ones history index if
+    ``taken``, all zeros if not) starts saturated against the run: each
+    of six rounds of ``history_bits`` events one way and one event the
+    other way trains that counter against the run, and a JUMP at
+    ``other_pc`` separates the rounds from the run.  So the counter
+    needs the run's events ``history_bits + 1`` to ``history_bits + 3``
+    to saturate toward it."""
+    def event(outcome):
+        return [BRANCH_COND, pc, outcome, pc - 3 if outcome else pc + 1]
+
+    rounds = (event(taken) * history_bits + event(1 - taken)) * 6
+    return (rounds + [BRANCH_JUMP, other_pc, 1, pc]
+            + event(taken) * (history_bits + 10))
+
+
 class TestWarmManyEquivalence:
     @pytest.mark.parametrize(
         "geometry", [*CONFIGURATIONS, "page16-line64", "page48-line32"])
@@ -345,18 +362,27 @@ class TestWarmManyEquivalence:
         long not-taken runs, retargets) broken by JAL/JR/JUMP and
         other-pc events and split across calls, with ``resolve_at``
         between calls evicting the last branch's BTB entry while history
-        stays all ones: the steady-repeat skip must leave exactly the
-        per-event state and BTB statistics."""
+        stays all ones, after two whole-call runs whose gshare counter
+        saturates only at the rule's boundary: the steady-repeat skip
+        must leave exactly the per-event state and BTB statistics."""
         config = get_config(machine).branch
         reference, bulk = BranchUnit(config), BranchUnit(config)
         rng = random.Random(machine)
         events = _loop_stream(rng, reference.btb.num_sets)
+        # Whole calls that the steady-repeat rule must not cut short:
+        # counters trained against a long taken or not-taken run.
+        drains = [_counter_drain_stream(pc, config.history_bits, taken,
+                                        pc + 2 * reference.btb.num_sets)
+                  for pc, taken in ((1001, 1), (2002, 0))]
         previous = None
         steady = {0: 0, 1: 0}
         start = 0
-        while start < len(events):
-            chunk = events[start:start + 4 * rng.randrange(1, 200)]
-            start += len(chunk)
+        while drains or start < len(events):
+            if drains:
+                chunk = drains.pop(0)
+            else:
+                chunk = events[start:start + 4 * rng.randrange(1, 200)]
+                start += len(chunk)
             for i in range(0, len(chunk), 4):
                 event = tuple(chunk[i:i + 4])
                 if event == previous and _is_steady(reference, event):
